@@ -56,14 +56,13 @@ def cx(control: int, target: int) -> Gate:
 class Circuit:
     """Ordered gate list on a fixed qubit register.
 
-    ``block_depth`` is the layer count under the package's sequential
-    block scheduling (builders supply it); when omitted it falls back to
-    the dependency-graph depth of the gate list.
+    The IR carries no depth: ``dag_depth`` measures the gate list, and the
+    sequential block depth of a feature map comes from its layer table
+    (``feature_maps.sequential_depth``).
     """
 
     num_qubits: int
     gates: tuple[Gate, ...]
-    block_depth: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
@@ -72,10 +71,6 @@ class Circuit:
         for g in self.gates:
             if any(q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} exceeds register of {self.num_qubits} qubit(s)")
-        if self.block_depth is None:
-            object.__setattr__(self, "block_depth", dag_depth(self))
-        if self.gates and self.block_depth < 1:
-            raise ValueError("non-empty circuit must have block_depth >= 1")
 
 
 def dag_depth(circuit: Circuit) -> int:
@@ -94,19 +89,17 @@ def adjoint(circuit: Circuit) -> Circuit:
         Gate(g.kind, g.qubits, -g.angle if g.angle is not None else None)
         for g in reversed(circuit.gates)
     )
-    return Circuit(circuit.num_qubits, inv, circuit.block_depth)
+    return Circuit(circuit.num_qubits, inv)
 
 
 def compose(first: Circuit, *rest: Circuit) -> Circuit:
-    """Concatenate circuits on the same register; block depths add."""
+    """Concatenate circuits on the same register."""
     gates = list(first.gates)
-    depth = first.block_depth
     for c in rest:
         if c.num_qubits != first.num_qubits:
             raise ValueError("cannot compose circuits with different qubit counts")
         gates.extend(c.gates)
-        depth += c.block_depth
-    return Circuit(first.num_qubits, tuple(gates), depth)
+    return Circuit(first.num_qubits, tuple(gates))
 
 
 def circuit_to_text(circuit: Circuit) -> str:

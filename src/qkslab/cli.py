@@ -253,6 +253,9 @@ def cmd_replay(args) -> int:
         raise CliError(f"{args.manifest}: not a {MANIFEST_FORMAT} file")
     if str(manifest.get("version", "")).split(".")[0] != MANIFEST_VERSION.split(".")[0]:
         raise CliError(f"{args.manifest}: unsupported manifest version {manifest.get('version')}")
+    if manifest.get("tool_version") != __version__:
+        raise CliError(f"{args.manifest}: written by qkslab {manifest.get('tool_version')}, "
+                       f"this is qkslab {__version__}")
     for path, digest in manifest["inputs"].items():
         if not Path(path).exists():
             raise CliError(f"replay input missing: {path}")
@@ -304,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qkslab",
                                      description="Quantum-kernel SVM laboratory")
     parser.add_argument("--version", action="version", version=f"qkslab {__version__}")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism bound; execution is sequential and results "
-                             "never depend on this value")
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("ingest", help="parse/join CSVs (or generate synthetic data) into a dataset file")
@@ -394,9 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

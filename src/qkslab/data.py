@@ -25,6 +25,7 @@ from math import pi
 import numpy as np
 
 from .feature_maps import FeatureMapSpec
+from .kernels import _fidelity, _statevector_stack
 from .seeding import mix64
 
 
@@ -461,9 +462,6 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
     kernels see little usable geometry.  Rows with the weakest margin are
     discarded to keep the classes crisp.
     """
-    from .simulator import simulate  # local import keeps module load light
-    from .feature_maps import build_feature_map
-
     if num_features < informative:
         raise ValueError("num_features must be >= informative")
     if rows % 2:
@@ -474,10 +472,7 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
     anchor_x = rng.uniform(0.0, pi, size=(anchors, informative))
     coeff = np.where(np.arange(anchors) % 2 == 0, 1.0, -1.0)
     spec = FeatureMapSpec(("Y", "YY"), informative, repetitions)
-    v_anchor = np.stack([simulate(build_feature_map(spec, a)).amplitudes for a in anchor_x])
-    v_pool = np.stack([simulate(build_feature_map(spec, b)).amplitudes for b in base])
-    overlap = v_pool @ v_anchor.conj().T
-    score = (overlap.real**2 + overlap.imag**2) @ coeff
+    score = _fidelity(_statevector_stack(spec, base), _statevector_stack(spec, anchor_x)) @ coeff
     margin = score - np.median(score)
     pos_idx = np.flatnonzero(margin > 0)
     neg_idx = np.flatnonzero(margin <= 0)

@@ -244,14 +244,17 @@ def ptri(sr: SweepResult, method: str, metric: str = "balanced_accuracy",
 
 
 def merge_ptri(grids) -> PTRIGrid:
+    """One grid holding every method of the inputs, which are left unchanged."""
     grids = list(grids)
-    first = grids[0]
-    for g in grids[1:]:
-        if g.feature_axis != first.feature_axis or g.size_axis != first.size_axis:
+    if not grids:
+        raise ValueError("no PTRI grids to merge")
+    merged = PTRIGrid(grids[0].feature_axis, grids[0].size_axis, {}, {})
+    for g in grids:
+        if g.feature_axis != merged.feature_axis or g.size_axis != merged.size_axis:
             raise ValueError("cannot merge PTRI grids with different axes")
-        first.values.update(g.values)
-        first.scores.update(g.scores)
-    return first
+        merged.values.update(g.values)
+        merged.scores.update(g.scores)
+    return merged
 
 
 @dataclass(eq=False)

@@ -87,22 +87,28 @@ def data_map_pair(x: np.ndarray, j: int, k: int) -> float:
     return 2.0 * (pi - float(x[j])) * (pi - float(x[k]))
 
 
-def build_feature_map(spec: FeatureMapSpec, x: np.ndarray) -> Circuit:
-    """Build the map circuit for one feature vector.
+# Resource-model depth of each layer, with pair blocks run strictly one after
+# another: single-qubit layers count once, pair layers once per adjacent pair.
+LAYER_DEPTH = {"H": 1, "Z": 1, "Y": 3, "ZZ": 3, "YY": 5}
 
-    block_depth counts layers under strictly sequential pair blocks: the
-    Hadamard wall is one layer, a single-qubit layer contributes 1 (Z) or
-    3 (Y) layers, and each adjacent pair block 3 (ZZ) or 5 (YY).
-    """
+
+def sequential_depth(spec: FeatureMapSpec) -> int:
+    """R * (1 + sum of single-layer depths + (F - 1) * sum of pair-layer depths)."""
+    per_rep = LAYER_DEPTH["H"] + sum(
+        LAYER_DEPTH[layer] * (1 if len(layer) == 1 else spec.num_features - 1)
+        for layer in spec.pauli_layers)
+    return spec.repetitions * per_rep
+
+
+def build_feature_map(spec: FeatureMapSpec, x: np.ndarray) -> Circuit:
+    """Build the map circuit for one feature vector."""
     x = np.asarray(x, dtype=np.float64)
     n = spec.num_features
     if x.shape != (n,):
         raise ValueError(f"feature vector has shape {x.shape}, expected ({n},)")
     gates: list[Gate] = []
-    depth = 0
     for _ in range(spec.repetitions):
         gates.extend(h(q) for q in range(n))
-        depth += 1
         for layer in spec.pauli_layers:
             y_basis = layer in ("Y", "YY")
             if len(layer) == 1:
@@ -112,7 +118,6 @@ def build_feature_map(spec: FeatureMapSpec, x: np.ndarray) -> Circuit:
                     gates.append(p(data_map_single(x, q), q))
                     if y_basis:
                         gates.append(rx(-pi / 2, q))
-                depth += 3 if y_basis else 1
             else:
                 for j in range(n - 1):
                     k = j + 1
@@ -125,5 +130,4 @@ def build_feature_map(spec: FeatureMapSpec, x: np.ndarray) -> Circuit:
                     if y_basis:
                         gates.append(rx(-pi / 2, j))
                         gates.append(rx(-pi / 2, k))
-                    depth += 5 if y_basis else 3
-    return Circuit(n, tuple(gates), depth)
+    return Circuit(n, tuple(gates))

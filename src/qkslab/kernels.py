@@ -156,15 +156,18 @@ def _statevector_stack(spec: FeatureMapSpec, samples: np.ndarray) -> np.ndarray:
     return np.stack([simulate(build_feature_map(spec, row)).amplitudes for row in samples])
 
 
-def _exact_quantum_values(spec: FeatureMapSpec, rows: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
-    v_rows = _statevector_stack(spec, rows)
-    v_cols = v_rows if cols is None else _statevector_stack(spec, cols)
-    overlaps = v_rows @ v_cols.conj().T
-    values = overlaps.real**2 + overlaps.imag**2
-    if cols is None:
+def _fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a b^H|^2: fidelities between the rows of two statevector stacks."""
+    overlaps = a @ b.conj().T
+    return overlaps.real**2 + overlaps.imag**2
+
+
+def _exact_quantum_values(v_rows: np.ndarray, v_cols: np.ndarray | None) -> np.ndarray:
+    if v_cols is None:
+        values = _fidelity(v_rows, v_rows)
         np.fill_diagonal(values, 1.0)  # self-fidelity is 1 by definition
         return _mirror_upper(values)
-    return values
+    return _fidelity(v_rows, v_cols)
 
 
 def _shots_quantum_values(config: KernelConfig, rows: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
@@ -192,6 +195,49 @@ def _rbf_values(gamma: float, rows: np.ndarray, cols: np.ndarray | None) -> np.n
     return _mirror_upper(values) if cols is None else values
 
 
+def _points(config: KernelConfig, rows: np.ndarray,
+            cols: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Validated samples; exact quantum kernels work on their feature-map states."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    if cols is not None:
+        cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
+        if cols.shape[1] != rows.shape[1]:
+            raise ValueError("row and column samples must share the feature dimension")
+    if config.kind == "rbf":
+        if config.gamma is None:
+            raise ValueError("rbf gamma is unresolved; call resolve_gamma on the train split first")
+        return rows, cols
+    if rows.shape[1] != config.feature_map.num_features:
+        raise ValueError("sample dimension does not match the feature map")
+    if config.mode == "shots":
+        return rows, cols
+    states = _statevector_stack(config.feature_map, rows)
+    return states, None if cols is None else _statevector_stack(config.feature_map, cols)
+
+
+def _gram(config: KernelConfig, rows: np.ndarray, cols: np.ndarray | None,
+          row_ids, col_ids, clip: bool | None) -> GramMatrix:
+    """Range-checked, labelled, optionally clipped kernel values between ``_points``."""
+    symmetric = cols is None
+    if config.kind == "rbf":
+        values = _rbf_values(config.gamma, rows, cols)
+    elif config.mode == "shots":
+        values = _shots_quantum_values(config, rows, cols)
+    else:
+        values = _exact_quantum_values(rows, cols)
+    if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
+        raise AssertionError("kernel values escaped [0, 1]")
+    row_ids = tuple(row_ids) if row_ids is not None else tuple(str(i) for i in range(values.shape[0]))
+    if symmetric:
+        col_ids = row_ids
+    else:
+        col_ids = tuple(col_ids) if col_ids is not None else tuple(str(j) for j in range(values.shape[1]))
+    gram = GramMatrix(values, row_ids, col_ids, config, symmetric)
+    if clip is None:
+        clip = symmetric and config.mode == "shots"
+    return psd_clip(gram) if clip else gram
+
+
 def gram_matrix(rows: np.ndarray, cols: np.ndarray | None, config: KernelConfig,
                 row_ids: tuple[str, ...] | None = None, col_ids: tuple[str, ...] | None = None,
                 clip: bool | None = None) -> GramMatrix:
@@ -201,58 +247,18 @@ def gram_matrix(rows: np.ndarray, cols: np.ndarray | None, config: KernelConfig,
     applies it in shots mode only, where sampling noise can break positive
     semidefiniteness.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    symmetric = cols is None
-    cols_arr = None if symmetric else np.atleast_2d(np.asarray(cols, dtype=np.float64))
-    if not symmetric and cols_arr.shape[1] != rows.shape[1]:
-        raise ValueError("row and column samples must share the feature dimension")
-    if config.kind == "quantum":
-        if rows.shape[1] != config.feature_map.num_features:
-            raise ValueError("sample dimension does not match the feature map")
-        if config.mode == "exact":
-            values = _exact_quantum_values(config.feature_map, rows, cols_arr)
-        else:
-            values = _shots_quantum_values(config, rows, cols_arr)
-    else:
-        if config.gamma is None:
-            raise ValueError("rbf gamma is unresolved; call resolve_gamma on the train split first")
-        values = _rbf_values(config.gamma, rows, cols_arr)
-    if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
-        raise AssertionError("kernel values escaped [0, 1]")
-    row_ids = tuple(row_ids) if row_ids is not None else tuple(str(i) for i in range(rows.shape[0]))
-    if symmetric:
-        col_ids = row_ids
-    else:
-        col_ids = tuple(col_ids) if col_ids is not None else tuple(str(j) for j in range(cols_arr.shape[0]))
-    gram = GramMatrix(values, row_ids, col_ids, config, symmetric)
-    if clip is None:
-        clip = symmetric and config.mode == "shots"
-    return psd_clip(gram) if clip else gram
+    return _gram(config, *_points(config, rows, cols), row_ids, col_ids, clip)
 
 
 def gram_pair(train_x: np.ndarray, test_x: np.ndarray, config: KernelConfig,
               train_ids: tuple[str, ...] | None = None, test_ids: tuple[str, ...] | None = None,
               clip: bool | None = None) -> tuple[GramMatrix, GramMatrix]:
-    """Train gram plus test-by-train cross gram, sharing exact-mode statevectors."""
-    train_x = np.atleast_2d(np.asarray(train_x, dtype=np.float64))
-    test_x = np.atleast_2d(np.asarray(test_x, dtype=np.float64))
-    train_ids = tuple(train_ids) if train_ids is not None else tuple(f"t{i}" for i in range(train_x.shape[0]))
-    test_ids = tuple(test_ids) if test_ids is not None else tuple(f"s{i}" for i in range(test_x.shape[0]))
-    if config.kind == "quantum" and config.mode == "exact":
-        v_train = _statevector_stack(config.feature_map, train_x)
-        v_test = _statevector_stack(config.feature_map, test_x)
-        g = v_train @ v_train.conj().T
-        train_values = g.real**2 + g.imag**2
-        np.fill_diagonal(train_values, 1.0)  # self-fidelity is 1 by definition
-        train_values = _mirror_upper(train_values)
-        c = v_test @ v_train.conj().T
-        cross_values = c.real**2 + c.imag**2
-        train_gram = GramMatrix(train_values, train_ids, train_ids, config, True)
-        cross_gram = GramMatrix(cross_values, test_ids, train_ids, config, False)
-        return train_gram, cross_gram
-    train_gram = gram_matrix(train_x, None, config, row_ids=train_ids, clip=clip)
-    cross_gram = gram_matrix(test_x, train_x, config, row_ids=test_ids, col_ids=train_ids)
-    return train_gram, cross_gram
+    """Train gram (``clip`` as in ``gram_matrix``) and test-by-train cross gram, one state per sample."""
+    test, train = _points(config, test_x, train_x)
+    train_ids = tuple(train_ids) if train_ids is not None else tuple(f"t{i}" for i in range(train.shape[0]))
+    test_ids = tuple(test_ids) if test_ids is not None else tuple(f"s{i}" for i in range(test.shape[0]))
+    return (_gram(config, train, None, train_ids, None, clip),
+            _gram(config, test, train, test_ids, train_ids, None))
 
 
 def psd_clip(gram: GramMatrix) -> GramMatrix:

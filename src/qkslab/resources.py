@@ -7,9 +7,9 @@ For F features and R repetitions, the builder's gate tally obeys
     Total = (11F - 7) * R     Depth = (5F - 1) * R
 
 with the qubit count equal to F regardless of R.  Depth here is the
-sequential pair-block layer count (``Circuit.block_depth``); the
-dependency-graph depth, which may overlap disjoint pair blocks, is
-reported as a diagnostic only.
+sequential pair-block layer count of the feature-map layer table
+(``feature_maps.sequential_depth``); the dependency-graph depth, which may
+overlap disjoint pair blocks, is reported as a diagnostic only.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import GateKind, dag_depth
-from .feature_maps import FeatureMapSpec, build_feature_map
+from .feature_maps import FeatureMapSpec, build_feature_map, sequential_depth
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,18 @@ def estimate(features: int, repetitions: int) -> ResourceEstimate:
 
 
 def measure(features: int, repetitions: int, x: np.ndarray | None = None) -> tuple[ResourceEstimate, int]:
-    """Tally a built Y+YY circuit; returns (estimate, dependency-graph depth)."""
+    """Tally a built Y+YY circuit, depth from the layer table; returns (estimate, dag depth)."""
     if x is None:
         x = np.zeros(features)
-    circuit = build_feature_map(FeatureMapSpec(("Y", "YY"), features, repetitions), x)
+    spec = FeatureMapSpec(("Y", "YY"), features, repetitions)
+    circuit = build_feature_map(spec, x)
     counts = {kind: 0 for kind in GateKind}
     for g in circuit.gates:
         counts[g.kind] += 1
     measured = ResourceEstimate(
         features=features, repetitions=repetitions,
         h=counts[GateKind.H], rx=counts[GateKind.RX], p=counts[GateKind.P], cx=counts[GateKind.CX],
-        total=len(circuit.gates), depth=circuit.block_depth, qubits=circuit.num_qubits,
+        total=len(circuit.gates), depth=sequential_depth(spec), qubits=circuit.num_qubits,
     )
     return measured, dag_depth(circuit)
 

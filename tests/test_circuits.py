@@ -25,10 +25,9 @@ def test_circuit_rejects_out_of_range_qubits():
         Circuit(1, (cx(0, 1),))
 
 
-def test_block_depth_defaults_to_dag_depth():
-    c = Circuit(2, (h(0), h(1), cx(0, 1)))
-    assert c.block_depth == dag_depth(c) == 2
-    assert Circuit(3, ()).block_depth == 0
+def test_dag_depth_of_small_circuits():
+    assert dag_depth(Circuit(2, (h(0), h(1), cx(0, 1)))) == 2
+    assert dag_depth(Circuit(3, ())) == 0
 
 
 def test_adjoint_examples():
@@ -43,9 +42,9 @@ def test_adjoint_is_involution():
 
 
 def test_compose_adds_depths_and_checks_register():
-    a = Circuit(2, (h(0),), 1)
-    b = Circuit(2, (cx(0, 1),), 1)
-    assert compose(a, b).block_depth == 2
+    a = Circuit(2, (h(0),))
+    b = Circuit(2, (cx(0, 1),))
+    assert dag_depth(compose(a, b)) == 2
     assert compose(a, b).gates == (h(0), cx(0, 1))
     with pytest.raises(ValueError):
         compose(a, Circuit(3, ()))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qkslab import __version__
 from qkslab.cli import main
 
 
@@ -145,6 +146,16 @@ def test_ptri_flat_surface_is_zero(tmp_path, capsys):
     assert all(v == 0.0 for row in pdoc["surfaces"]["rbf"]["scores"] for v in row)
 
 
+def test_ptri_without_methods_is_an_error(dataset, tmp_path, capsys):
+    sweep_path = tmp_path / "sweep.json"
+    assert _run(["sweep", "--dataset", str(dataset), "--sizes", "30", "--features", "2",
+                 "--kernels", "rbf", "--trials", "1", "--out", str(sweep_path)], capsys)[0] == 0
+    code, _, err = _run(["ptri", "--sweep", str(sweep_path), "--methods", ",",
+                         "--out", str(tmp_path / "p.json")], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_variability_command(dataset, tmp_path, capsys):
     out = tmp_path / "var.json"
     code, text, err = _run(["variability", "--dataset", str(dataset), "--size", "30",
@@ -200,3 +211,19 @@ def test_replay_detects_changed_inputs(tmp_path, capsys):
     code, _, err = _run(["replay", str(out) + ".manifest.json"], capsys)
     assert code != 0
     assert "changed" in err
+
+
+def test_replay_rejects_a_manifest_from_another_tool_version(tmp_path, capsys):
+    ds_path = tmp_path / "ds.json"
+    assert _run(["ingest", "--synthetic", "13", "--days", "60", "--out", str(ds_path)], capsys)[0] == 0
+    out = tmp_path / "k.gram"
+    assert _run(["kernel", "--dataset", str(ds_path), "--map", "z", "--features", "2",
+                 "--size", "20", "--out", str(out)], capsys)[0] == 0
+    manifest_path = tmp_path / "k.gram.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tool_version"] = "0.0.1"
+    manifest_path.write_text(json.dumps(manifest))
+    ds_path.write_text(ds_path.read_text() + "\n")  # the version is checked before the inputs
+    code, _, err = _run(["replay", str(manifest_path)], capsys)
+    assert code == 1
+    assert f"written by qkslab 0.0.1, this is qkslab {__version__}" in err

@@ -145,8 +145,13 @@ def test_ptri_reference_selection_averages_min_max_trials():
 def test_merge_ptri():
     cells = {(f, n, k): [0.5] for f in (5, 6) for n in (200, 300) for k in ("a", "b")}
     sr = _fake_sweep(cells, kernels=("a", "b"))
-    grid = merge_ptri([ptri(sr, "a"), ptri(sr, "b")])
-    assert set(grid.scores) == {"a", "b"}
+    a, b = ptri(sr, "a"), ptri(sr, "b")
+    grid = merge_ptri([a, b])
+    assert set(grid.scores) == set(grid.values) == {"a", "b"}
+    assert set(a.scores) == set(a.values) == {"a"}  # inputs are left unchanged
+    assert set(b.scores) == set(b.values) == {"b"}
+    with pytest.raises(ValueError):
+        merge_ptri([])
 
 
 # --- variability ---

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkslab.circuits import GateKind, adjoint, compose
+from qkslab.circuits import GateKind, adjoint, compose, dag_depth
 from qkslab.feature_maps import (PRESETS, FeatureMapSpec, build_feature_map, data_map_pair,
-                                 data_map_single)
+                                 data_map_single, sequential_depth)
 from qkslab.simulator import simulate
 
 
@@ -44,14 +44,15 @@ def test_data_map_errors():
 # --- construction ---
 
 def test_yyy_f2_r1_gate_census():
-    c = build_feature_map(FeatureMapSpec(("Y", "YY"), 2, 1), np.array([0.7, 0.3]))
+    spec = FeatureMapSpec(("Y", "YY"), 2, 1)
+    c = build_feature_map(spec, np.array([0.7, 0.3]))
     counts = _counts(c)
     assert counts[GateKind.H] == 2
     assert counts[GateKind.RX] == 8
     assert counts[GateKind.P] == 3
     assert counts[GateKind.CX] == 2
     assert len(c.gates) == 15
-    assert c.block_depth == 9
+    assert sequential_depth(spec) == 9
 
 
 def test_z_preset_single_qubit_structure():
@@ -61,21 +62,29 @@ def test_z_preset_single_qubit_structure():
 
 
 def test_yyy_f4_r1_block_depth():
-    c = build_feature_map(FeatureMapSpec(("Y", "YY"), 4, 1), np.zeros(4))
-    assert c.block_depth == 19
+    assert sequential_depth(FeatureMapSpec(("Y", "YY"), 4, 1)) == 19
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("reps", range(1, 4))
+def test_layer_table_depth_is_dag_depth_at_two_features(preset, reps):
+    # one adjacent pair: no two pair blocks can overlap in the dependency graph
+    spec = FeatureMapSpec.from_preset(preset, 2, reps)
+    assert dag_depth(build_feature_map(spec, np.array([0.4, 1.9]))) == sequential_depth(spec)
 
 
 @pytest.mark.parametrize("features", range(2, 11))
 @pytest.mark.parametrize("reps", range(1, 4))
 def test_yyy_count_formulas(features, reps):
-    c = build_feature_map(FeatureMapSpec(("Y", "YY"), features, reps), np.zeros(features))
+    spec = FeatureMapSpec(("Y", "YY"), features, reps)
+    c = build_feature_map(spec, np.zeros(features))
     counts = _counts(c)
     assert counts[GateKind.H] == features * reps
     assert counts[GateKind.RX] == (6 * features - 4) * reps
     assert counts[GateKind.P] == (2 * features - 1) * reps
     assert counts[GateKind.CX] == (2 * features - 2) * reps
     assert len(c.gates) == (11 * features - 7) * reps
-    assert c.block_depth == (5 * features - 1) * reps
+    assert sequential_depth(spec) == (5 * features - 1) * reps
     assert c.num_qubits == features  # independent of reps
 
 

@@ -4,6 +4,7 @@ from math import cos, exp, pi
 import numpy as np
 import pytest
 
+from qkslab import kernels
 from qkslab.feature_maps import PRESETS, FeatureMapSpec, build_feature_map
 from qkslab.kernels import (GramMatrix, KernelConfig, gram_matrix, gram_pair, psd_clip,
                             quantum_config, quantum_kernel_entry, rbf_config,
@@ -152,15 +153,25 @@ def test_gamma_resolution():
         gram_matrix(X, None, rbf_config())  # unresolved gamma
 
 
-def test_gram_pair_matches_separate_calls():
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_gram_pair_matches_separate_calls(preset):
     rng = np.random.default_rng(13)
     train = rng.uniform(0, pi, size=(5, 3))
     test = rng.uniform(0, pi, size=(3, 3))
-    cfg = quantum_config("yzz", 3, 2)
+    cfg = quantum_config(preset, 3, 2)
     train_g, cross_g = gram_pair(train, test, cfg)
-    np.testing.assert_allclose(train_g.values, gram_matrix(train, None, cfg).values, atol=1e-12)
-    np.testing.assert_allclose(cross_g.values, gram_matrix(test, train, cfg).values, atol=1e-12)
+    assert np.array_equal(train_g.values, gram_matrix(train, None, cfg).values)
+    assert np.array_equal(cross_g.values, gram_matrix(test, train, cfg).values)
     assert cross_g.col_ids == train_g.row_ids
+
+
+def test_gram_pair_clips_the_exact_train_gram_on_request(monkeypatch):
+    clipped = []
+    monkeypatch.setattr(kernels, "psd_clip", lambda gram: clipped.append(gram) or gram)
+    rng = np.random.default_rng(15)
+    train_g, _ = gram_pair(rng.uniform(0, pi, size=(4, 2)), rng.uniform(0, pi, size=(2, 2)),
+                           quantum_config("zz", 2, 1), clip=True)
+    assert clipped == [train_g]
 
 
 def test_config_validation():
