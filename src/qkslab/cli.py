@@ -70,9 +70,12 @@ def _make_kernel(name: str, features: int, reps: int, mode: str, shots, seed: in
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise CliError(f"expected a comma-separated integer list, got {text!r}") from None
+        values = ()
+    if not values:
+        raise CliError(f"expected a comma-separated integer list, got {text!r}")
+    return values
 
 
 # --- subcommands ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from math import pi
 import numpy as np
 
 from .feature_maps import FeatureMapSpec
-from .kernels import _fidelity, _statevector_stack
+from .kernels import KernelConfig, gram_matrix
 from .seeding import mix64
 
 
@@ -472,7 +472,7 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
     anchor_x = rng.uniform(0.0, pi, size=(anchors, informative))
     coeff = np.where(np.arange(anchors) % 2 == 0, 1.0, -1.0)
     spec = FeatureMapSpec(("Y", "YY"), informative, repetitions)
-    score = _fidelity(_statevector_stack(spec, base), _statevector_stack(spec, anchor_x)) @ coeff
+    score = gram_matrix(base, anchor_x, KernelConfig("quantum", "exact", spec)).values @ coeff
     margin = score - np.median(score)
     pos_idx = np.flatnonzero(margin > 0)
     neg_idx = np.flatnonzero(margin <= 0)

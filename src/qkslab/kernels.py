@@ -1,10 +1,14 @@
 """Fidelity quantum kernels, the classical RBF baseline, and Gram assembly.
 
 The quantum kernel is the all-zeros probability of the compute-uncompute
-circuit U(y)^dagger U(x); exact mode shortcuts to the statevector overlap
-|<psi(y)|psi(x)>|^2, shots mode simulates the composed circuit and samples.
-Shots-mode entry seeds derive from mix64(master_seed, min(i,j), max(i,j)),
-so Gram assembly is independent of evaluation order and parallelism.
+circuit U(y)^dagger U(x), which equals the statevector overlap
+|<psi(y)|psi(x)>|^2.  Both modes compute that overlap from one state per
+sample; shots mode then samples each value with seeded Bernoulli draws.
+``quantum_kernel_entry`` builds and simulates the circuit itself and is the
+oracle for both.  Shots-mode entry seeds are mix64(master_seed, i, j) for
+train entry i <= j (mirrored) and mix64(master_seed, _CROSS, i, j) for cross
+entry (test i, train j), so Gram assembly is independent of evaluation order
+and parallelism.
 """
 from __future__ import annotations
 
@@ -15,10 +19,11 @@ import numpy as np
 from .circuits import adjoint, compose
 from .feature_maps import FeatureMapSpec, build_feature_map, preset_of
 from .seeding import mix64
-from .simulator import sample_zero_count, simulate
+from .simulator import sample_zero_count, simulate, zero_probability
 
 SHOT_CAP = 1024
 _PSD_TOL = 1e-8
+_CROSS = 0x435253  # role word "CRS" in cross-gram entry seeds
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ def quantum_kernel_entry(spec: FeatureMapSpec, x: np.ndarray, y: np.ndarray, mod
     if shots is None or shots < 1:
         raise ValueError("shots mode requires shots >= 1")
     circuit = compose(build_feature_map(spec, x), adjoint(build_feature_map(spec, y)))
-    result = sample_zero_count(simulate(circuit), shots, entry_seed)
+    result = sample_zero_count(zero_probability(simulate(circuit)), shots, entry_seed)
     return result.zero_count / result.shots
 
 
@@ -170,22 +175,15 @@ def _exact_quantum_values(v_rows: np.ndarray, v_cols: np.ndarray | None) -> np.n
     return _fidelity(v_rows, v_cols)
 
 
-def _shots_quantum_values(config: KernelConfig, rows: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
-    spec = config.feature_map
-    row_circuits = [build_feature_map(spec, x) for x in rows]
-    col_circuits = row_circuits if cols is None else [build_feature_map(spec, y) for y in cols]
-    col_adjoints = [adjoint(c) for c in col_circuits]
-    n, m = len(row_circuits), len(col_adjoints)
+def _shots_quantum_values(config: KernelConfig, probs: np.ndarray, symmetric: bool) -> np.ndarray:
+    """One seeded shot-count estimate per entry of the exact probabilities ``probs``."""
+    n, m = probs.shape
     values = np.zeros((n, m))
     for i in range(n):
-        j_start = i if cols is None else 0
-        for j in range(j_start, m):
-            seed = mix64(config.master_seed, min(i, j), max(i, j))
-            state = simulate(compose(row_circuits[i], col_adjoints[j]))
-            values[i, j] = sample_zero_count(state, config.shots, seed).zero_count / config.shots
-            if cols is None:
-                values[j, i] = values[i, j]
-    return values
+        for j in range(i if symmetric else 0, m):
+            seed = mix64(config.master_seed, i, j) if symmetric else mix64(config.master_seed, _CROSS, i, j)
+            values[i, j] = sample_zero_count(probs[i, j], config.shots, seed).zero_count / config.shots
+    return _mirror_upper(values) if symmetric else values
 
 
 def _rbf_values(gamma: float, rows: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
@@ -197,7 +195,7 @@ def _rbf_values(gamma: float, rows: np.ndarray, cols: np.ndarray | None) -> np.n
 
 def _points(config: KernelConfig, rows: np.ndarray,
             cols: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Validated samples; exact quantum kernels work on their feature-map states."""
+    """Validated samples; quantum kernels work on their feature-map states."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if cols is not None:
         cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
@@ -209,24 +207,22 @@ def _points(config: KernelConfig, rows: np.ndarray,
         return rows, cols
     if rows.shape[1] != config.feature_map.num_features:
         raise ValueError("sample dimension does not match the feature map")
-    if config.mode == "shots":
-        return rows, cols
     states = _statevector_stack(config.feature_map, rows)
     return states, None if cols is None else _statevector_stack(config.feature_map, cols)
 
 
 def _gram(config: KernelConfig, rows: np.ndarray, cols: np.ndarray | None,
           row_ids, col_ids, clip: bool | None) -> GramMatrix:
-    """Range-checked, labelled, optionally clipped kernel values between ``_points``."""
+    """Kernel values between ``_points``: range-checked, sampled in shots mode, labelled, clipped."""
     symmetric = cols is None
     if config.kind == "rbf":
         values = _rbf_values(config.gamma, rows, cols)
-    elif config.mode == "shots":
-        values = _shots_quantum_values(config, rows, cols)
     else:
         values = _exact_quantum_values(rows, cols)
     if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
         raise AssertionError("kernel values escaped [0, 1]")
+    if config.mode == "shots":
+        values = _shots_quantum_values(config, values, symmetric)
     row_ids = tuple(row_ids) if row_ids is not None else tuple(str(i) for i in range(values.shape[0]))
     if symmetric:
         col_ids = row_ids

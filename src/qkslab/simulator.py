@@ -107,15 +107,15 @@ def zero_probability(state: Statevector) -> float:
     return float(a.real**2 + a.imag**2)
 
 
-def sample_zero_count(state: Statevector, shots: int, seed: int) -> ShotResult:
+def sample_zero_count(prob: float, shots: int, seed: int) -> ShotResult:
     """Count all-zeros outcomes over ``shots`` seeded Bernoulli draws.
 
-    Each shot compares one SplitMix64 uniform against the all-zeros
-    probability, so identical (state, shots, seed) always reproduce the
-    same count.
+    Each shot compares one SplitMix64 uniform against ``prob``, the
+    all-zeros probability (``zero_probability`` of a simulated circuit, or
+    an exact fidelity), so identical (prob, shots, seed) always reproduce
+    the same count.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    prob = zero_probability(state)
     count = int(np.count_nonzero(uniforms(seed, shots) < prob))
     return ShotResult(shots, count)

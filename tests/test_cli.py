@@ -156,6 +156,15 @@ def test_ptri_without_methods_is_an_error(dataset, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_sweep_without_sizes_is_an_error(dataset, tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    code, _, err = _run(["sweep", "--dataset", str(dataset), "--sizes", ",", "--features", "2",
+                         "--kernels", "rbf", "--trials", "1", "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_variability_command(dataset, tmp_path, capsys):
     out = tmp_path / "var.json"
     code, text, err = _run(["variability", "--dataset", str(dataset), "--size", "30",
@@ -172,6 +181,12 @@ def test_resources_command(tmp_path, capsys):
     assert code == 0, err
     row = [ln for ln in out.splitlines() if ln.startswith("4")][0]
     assert "37" in row and "19" in row and "True" in row
+
+
+def test_resources_verify_without_features_is_an_error(capsys):
+    code, _, err = _run(["resources", "--features", ",", "--verify"], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
 
 
 def test_schema_version_rejection(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Tests for kernel entries, Gram assembly, PSD clipping, and the gram file."""
+from itertools import product
 from math import cos, exp, pi
 
 import numpy as np
@@ -10,6 +11,7 @@ from qkslab.kernels import (GramMatrix, KernelConfig, gram_matrix, gram_pair, ps
                             quantum_config, quantum_kernel_entry, rbf_config,
                             rbf_kernel_entry, read_gram, resolve_gamma, rbf_gamma_scale,
                             write_gram)
+from qkslab.seeding import mix64
 from qkslab.simulator import simulate
 
 
@@ -106,14 +108,34 @@ def test_shots_gram_is_deterministic_and_unbiased():
     assert abs(np.mean(est) - exact) < 3 * se
 
 
-def test_entry_seed_derivation_is_order_free():
-    # same unordered pair -> same seed -> equal transposed entries even when
-    # computed through the rectangular path
+@pytest.mark.parametrize("features", [2, 3])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_shots_gram_pair_entries_match_the_circuit_oracle(preset, features):
+    # train entry (i, j) is drawn with seed mix64(master, min(i, j), max(i, j)),
+    # cross entry (test i, train j) with mix64(master, _CROSS, i, j)
     rng = np.random.default_rng(10)
-    X = rng.uniform(0, pi, size=(3, 2))
-    cfg = quantum_config("yyy", 2, 1, "shots", 512, master_seed=123)
-    rect = gram_matrix(X, X, cfg, row_ids=("a", "b", "c"), col_ids=("a", "b", "c"))
-    assert np.array_equal(rect.values, rect.values.T)
+    train = rng.uniform(0, pi, size=(5, features))
+    test = rng.uniform(0, pi, size=(3, features))
+    shots, master = 256, 123
+    cfg = quantum_config(preset, features, 2, "shots", shots, master)
+    train_g, cross_g = gram_pair(train, test, cfg, clip=False)
+
+    def oracle(x, y, seed):
+        return quantum_kernel_entry(cfg.feature_map, x, y, "shots", shots, entry_seed=seed)
+
+    for i, j in product(range(5), range(5)):
+        seed = mix64(master, min(i, j), max(i, j))
+        assert train_g.values[i, j] == oracle(train[i], train[j], seed)
+    for i, j in product(range(3), range(5)):
+        seed = mix64(master, kernels._CROSS, i, j)
+        assert cross_g.values[i, j] == oracle(test[i], train[j], seed)
+
+
+def test_shots_cross_gram_does_not_reuse_train_gram_seeds():
+    train = np.random.default_rng(17).uniform(0, pi, size=(4, 2))
+    cfg = quantum_config("zz", 2, 1, "shots", 64, 7)
+    train_g, cross_g = gram_pair(train, train[:2], cfg, clip=False)
+    assert not np.array_equal(cross_g.values, train_g.values[:2])
 
 
 def test_psd_clip_examples():

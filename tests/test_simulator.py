@@ -85,21 +85,19 @@ def test_zero_probability():
 
 
 def test_sampling_extremes_and_determinism():
-    one = Statevector(1, np.array([1, 0], dtype=complex))
-    zero = Statevector(1, np.array([0, 1], dtype=complex))
     for seed in (0, 1, 999):
-        assert sample_zero_count(one, 1024, seed).zero_count == 1024
-        assert sample_zero_count(zero, 1024, seed).zero_count == 0
-    s = simulate(Circuit(1, (h(0),)))
-    a = sample_zero_count(s, 512, 42)
-    b = sample_zero_count(s, 512, 42)
+        assert sample_zero_count(1.0, 1024, seed).zero_count == 1024
+        assert sample_zero_count(0.0, 1024, seed).zero_count == 0
+    p = zero_probability(simulate(Circuit(1, (h(0),))))
+    a = sample_zero_count(p, 512, 42)
+    b = sample_zero_count(p, 512, 42)
     assert a == b
     with pytest.raises(ValueError):
-        sample_zero_count(s, 0, 1)
+        sample_zero_count(p, 0, 1)
 
 
 def test_sampling_mean_approaches_probability():
-    s = simulate(Circuit(1, (h(0),)))  # p = 0.5
+    p = zero_probability(simulate(Circuit(1, (h(0),))))  # 0.5
     shots = 1024
-    estimates = [sample_zero_count(s, shots, seed).zero_count / shots for seed in range(10_000)]
+    estimates = [sample_zero_count(p, shots, seed).zero_count / shots for seed in range(10_000)]
     assert abs(np.mean(estimates) - 0.5) < 0.005
