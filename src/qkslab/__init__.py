@@ -7,7 +7,7 @@ scoring, and closed-form circuit resource estimation.
 """
 from .circuits import Circuit, Gate, GateKind, adjoint, compose, dag_depth
 from .feature_maps import PRESETS, FeatureMapSpec, build_feature_map, data_map_pair, data_map_single
-from .simulator import ShotResult, Statevector, sample_zero_count, simulate, zero_probability
+from .simulator import Statevector, sample_zero_count, simulate, zero_probability
 from .kernels import (GramMatrix, KernelConfig, gram_matrix, gram_pair, psd_clip,
                       quantum_config, quantum_kernel_entry, rbf_config, rbf_kernel_entry)
 from .svm import SvmModel, decision_values, predict, train

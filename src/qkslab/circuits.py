@@ -101,62 +101,3 @@ def compose(first: Circuit, *rest: Circuit) -> Circuit:
         gates.extend(c.gates)
     return Circuit(first.num_qubits, tuple(gates))
 
-
-def circuit_to_text(circuit: Circuit) -> str:
-    """Line format: ``QUBITS n`` header, then one gate per line.
-
-    Angles are printed with 17 significant digits so parsing them back is
-    value-exact for float64.
-    """
-    lines = [f"QUBITS {circuit.num_qubits}"]
-    for g in circuit.gates:
-        qs = " ".join(f"q{q}" for q in g.qubits)
-        if g.angle is not None:
-            lines.append(f"{g.kind.value} {g.angle:.17g} {qs}")
-        else:
-            lines.append(f"{g.kind.value} {qs}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_qubit(token: str, lineno: int) -> int:
-    if not token.startswith("q"):
-        raise ValueError(f"line {lineno}: expected qubit token like 'q0', got {token!r}")
-    try:
-        return int(token[1:])
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad qubit token {token!r}") from None
-
-
-def circuit_from_text(text: str) -> Circuit:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("QUBITS "):
-        raise ValueError("line 1: missing 'QUBITS n' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ValueError("line 1: malformed 'QUBITS n' header") from None
-    gates = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        name = parts[0]
-        try:
-            kind = GateKind(name)
-        except ValueError:
-            raise ValueError(f"line {lineno}: unknown gate {name!r}") from None
-        if kind in _PARAMETRIC:
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: {name} expects '<angle> q<i>'")
-            try:
-                angle = float(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad angle {parts[1]!r}") from None
-            gates.append(Gate(kind, (_parse_qubit(parts[2], lineno),), angle))
-        elif kind is GateKind.CX:
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: CX expects 'q<c> q<t>'")
-            gates.append(Gate(kind, (_parse_qubit(parts[1], lineno), _parse_qubit(parts[2], lineno))))
-        else:
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: H expects 'q<i>'")
-            gates.append(Gate(kind, (_parse_qubit(parts[1], lineno),)))
-    return Circuit(n, tuple(gates))

@@ -19,16 +19,17 @@ import numpy as np
 from . import __version__
 from .data import (DEFAULT_FEATURES, ingest, label_direction, read_dataset, synthetic_dataset,
                    sample_subset, scale_split, write_dataset, SubsetSpec)
-from .experiment import (ConfigPoint, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES, merge_ptri, ptri,
-                         ptri_to_doc, read_json, result_table_rows, run_sweep, sweep_from_doc,
-                         sweep_to_doc, variability_study, variability_to_doc, write_json,
-                         write_table)
+from .experiment import (ConfigPoint, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES, ExperimentError,
+                         merge_ptri, ptri, ptri_to_doc, read_json, result_table_rows, run_sweep,
+                         sweep_from_doc, sweep_to_doc, variability_study, variability_to_doc,
+                         write_json, write_table)
 from .kernels import SHOT_CAP, gram_matrix, quantum_config, rbf_config, resolve_gamma, write_gram
 from .resources import TABLE_HEADER, verification_table
 from .seeding import mix64
 
 MANIFEST_FORMAT = "qkslab-manifest"
 MANIFEST_VERSION = "1.0"
+_MANIFEST_FIELDS = {"command": str, "arguments": dict, "inputs": dict, "outputs": dict}
 
 KERNEL_CHOICES = ("z", "zz", "yyy", "yzz", "zzz", "rbf")
 
@@ -105,9 +106,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if args.mode == "shots" and args.shots > SHOT_CAP and not args.allow_overshoot:
-        raise CliError(f"shots={args.shots} exceeds the {SHOT_CAP}-shot cap "
-                       "(use --allow-overshoot to override)")
     ds = read_dataset(args.dataset)
     size = args.size if args.size is not None else len(ds)
     subset = SubsetSpec(size, args.features, mix64(args.seed, size, args.features),
@@ -148,9 +146,6 @@ def _sweep_kernels(args):
 
 
 def cmd_sweep(args) -> int:
-    if args.mode == "shots" and args.shots > SHOT_CAP and not args.allow_overshoot:
-        raise CliError(f"shots={args.shots} exceeds the {SHOT_CAP}-shot cap "
-                       "(use --allow-overshoot to override)")
     ds = read_dataset(args.dataset)
     sizes = _parse_int_list(args.sizes)
     feature_counts = _parse_int_list(args.features)
@@ -251,7 +246,12 @@ def cmd_report(args) -> int:
 
 def cmd_replay(args) -> int:
     with open(args.manifest, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{args.manifest}: malformed manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CliError(f"{args.manifest}: malformed manifest: not a JSON object")
     if manifest.get("format") != MANIFEST_FORMAT:
         raise CliError(f"{args.manifest}: not a {MANIFEST_FORMAT} file")
     if str(manifest.get("version", "")).split(".")[0] != MANIFEST_VERSION.split(".")[0]:
@@ -259,6 +259,9 @@ def cmd_replay(args) -> int:
     if manifest.get("tool_version") != __version__:
         raise CliError(f"{args.manifest}: written by qkslab {manifest.get('tool_version')}, "
                        f"this is qkslab {__version__}")
+    bad = [key for key, kind in _MANIFEST_FIELDS.items() if not isinstance(manifest.get(key), kind)]
+    if bad:
+        raise CliError(f"{args.manifest}: malformed manifest: missing or mistyped {', '.join(bad)}")
     for path, digest in manifest["inputs"].items():
         if not Path(path).exists():
             raise CliError(f"replay input missing: {path}")
@@ -399,7 +402,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ExperimentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

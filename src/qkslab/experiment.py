@@ -89,22 +89,21 @@ def _kernel_for(config: KernelConfig, num_features: int, trial_seed: int) -> Ker
 
 
 def evaluate_kernels_on_subset(train_ds: Dataset, test_ds: Dataset, kernels: dict[str, KernelConfig],
-                               svm_c: float, svm_tol: float, seed: int) -> dict[str, tuple[float, float]]:
+                               svm_c: float, svm_tol: float) -> dict[str, tuple[float, float]]:
     """Train and score every kernel on one already-scaled train/test split."""
     out: dict[str, tuple[float, float]] = {}
     for name, kcfg in kernels.items():
         kcfg = resolve_gamma(kcfg, train_ds.X)
         train_gram, cross_gram = gram_pair(train_ds.X, test_ds.X, kcfg,
                                            train_ids=train_ds.ids, test_ids=test_ds.ids)
-        model = train(train_gram, train_ds.y, C=svm_c, tol=svm_tol, seed=seed)
+        model = train(train_gram, train_ds.y, C=svm_c, tol=svm_tol)
         cm = confusion(test_ds.y, predict(model, cross_gram))
         out[name] = (balanced_accuracy(cm), f1(cm))
     return out
 
 
 def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
-              split_ratio: float = 0.7, svm_c: float = 1.0, svm_tol: float = 1e-3,
-              progress=None) -> SweepResult:
+              split_ratio: float = 0.7, svm_c: float = 1.0, svm_tol: float = 1e-3) -> SweepResult:
     """Evaluate every kernel at every (config, trial) on shared subsets."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -125,16 +124,13 @@ def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
                 fingerprint = _subset_fingerprint(train_ds, test_ds)
                 trial_kernels = {name: _kernel_for(k, cfg.features, trial_seed)
                                  for name, k in kernel_map.items()}
-                scores = evaluate_kernels_on_subset(train_ds, test_ds, trial_kernels,
-                                                    svm_c, svm_tol, trial_seed)
+                scores = evaluate_kernels_on_subset(train_ds, test_ds, trial_kernels, svm_c, svm_tol)
             except Exception as exc:
                 raise ExperimentError(
                     f"config (F={cfg.features}, N={cfg.size}) trial {t}: {exc}") from exc
             for name, (ba, f1_score) in scores.items():
                 cells[(cfg.features, cfg.size, name)].append(
                     TrialRecord(t, trial_seed, ba, f1_score, fingerprint))
-            if progress is not None:
-                progress(cfg, t)
     return SweepResult(configs, tuple(kernel_map), trials, master_seed, split_ratio,
                        svm_c, svm_tol, cells, kernel_map)
 
@@ -273,28 +269,15 @@ class VariabilityResult:
 
 def variability_study(ds: Dataset, config: ConfigPoint, kernel: KernelConfig, trials: int,
                       master_seed: int, split_ratio: float = 0.7, svm_c: float = 1.0,
-                      svm_tol: float = 1e-3, bins: int = 20,
-                      trial_seeds: list[int] | None = None) -> VariabilityResult:
+                      svm_tol: float = 1e-3, bins: int = 20) -> VariabilityResult:
     """Repeat subset-train-test cycles and summarize the BA distribution.
 
-    ``trial_seeds`` overrides the derived per-trial seeds (e.g. to replay
-    selected trials); its length must equal ``trials``.
+    The trials are those of a one-point, one-kernel ``run_sweep``.
     """
     if trials < 2:
         raise ValueError("variability needs at least two trials")
-    if trial_seeds is not None and len(trial_seeds) != trials:
-        raise ValueError("trial_seeds must have one entry per trial")
-    records: list[TrialRecord] = []
-    for t in range(trials):
-        seed = trial_seeds[t] if trial_seeds is not None else mix64(master_seed, config.features,
-                                                                    config.size, t)
-        subset = SubsetSpec(config.size, config.features, seed, split_ratio)
-        train_ds, test_ds = scale_split(*sample_subset(ds, subset))
-        kcfg = _kernel_for(kernel, config.features, seed)
-        scores = evaluate_kernels_on_subset(train_ds, test_ds, {kernel.name: kcfg},
-                                            svm_c, svm_tol, seed)
-        ba, f1_score = scores[kernel.name]
-        records.append(TrialRecord(t, seed, ba, f1_score, _subset_fingerprint(train_ds, test_ds)))
+    records = run_sweep(ds, [config], [kernel], trials, master_seed, split_ratio, svm_c,
+                        svm_tol).records(config, kernel.name)
     bas = [r.balanced_accuracy for r in records]
     mean, std = mean_std(bas)
     lo, hi = min(bas), max(bas)

@@ -77,16 +77,6 @@ def rbf_config(gamma: float | None = None, master_seed: int = 0) -> KernelConfig
     return KernelConfig("rbf", "exact", None, gamma, None, master_seed, "rbf")
 
 
-def kernel_fingerprint(config: KernelConfig) -> str:
-    """Stable human-readable identity string for model/file provenance."""
-    if config.kind == "rbf":
-        core = f"rbf:gamma={config.gamma!r}"
-    else:
-        fm = config.feature_map
-        core = f"quantum:{','.join(fm.pauli_layers)}:F={fm.num_features}:R={fm.repetitions}"
-    return f"{core}:{config.mode}:shots={config.shots}:seed={config.master_seed}"
-
-
 def rbf_gamma_scale(train_x: np.ndarray) -> float:
     """Default gamma 1/(F * pooled feature variance); 1.0 for degenerate data."""
     train_x = np.asarray(train_x, dtype=np.float64)
@@ -117,8 +107,7 @@ def quantum_kernel_entry(spec: FeatureMapSpec, x: np.ndarray, y: np.ndarray, mod
     if shots is None or shots < 1:
         raise ValueError("shots mode requires shots >= 1")
     circuit = compose(build_feature_map(spec, x), adjoint(build_feature_map(spec, y)))
-    result = sample_zero_count(zero_probability(simulate(circuit)), shots, entry_seed)
-    return result.zero_count / result.shots
+    return sample_zero_count(zero_probability(simulate(circuit)), shots, entry_seed) / shots
 
 
 def rbf_kernel_entry(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
@@ -182,7 +171,7 @@ def _shots_quantum_values(config: KernelConfig, probs: np.ndarray, symmetric: bo
     for i in range(n):
         for j in range(i if symmetric else 0, m):
             seed = mix64(config.master_seed, i, j) if symmetric else mix64(config.master_seed, _CROSS, i, j)
-            values[i, j] = sample_zero_count(probs[i, j], config.shots, seed).zero_count / config.shots
+            values[i, j] = sample_zero_count(probs[i, j], config.shots, seed) / config.shots
     return _mirror_upper(values) if symmetric else values
 
 

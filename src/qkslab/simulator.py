@@ -34,18 +34,6 @@ class Statevector:
             raise ValueError("amplitude length must be 2**num_qubits")
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    shots: int
-    zero_count: int
-
-    def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if not 0 <= self.zero_count <= self.shots:
-            raise ValueError("zero_count must lie in [0, shots]")
-
-
 def _apply_1q(state: np.ndarray, m00: complex, m01: complex, m10: complex, m11: complex, qubit: int) -> None:
     view = state.reshape(-1, 2, 1 << qubit)
     a = view[:, 0, :].copy()
@@ -107,7 +95,7 @@ def zero_probability(state: Statevector) -> float:
     return float(a.real**2 + a.imag**2)
 
 
-def sample_zero_count(prob: float, shots: int, seed: int) -> ShotResult:
+def sample_zero_count(prob: float, shots: int, seed: int) -> int:
     """Count all-zeros outcomes over ``shots`` seeded Bernoulli draws.
 
     Each shot compares one SplitMix64 uniform against ``prob``, the
@@ -117,5 +105,4 @@ def sample_zero_count(prob: float, shots: int, seed: int) -> ShotResult:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    count = int(np.count_nonzero(uniforms(seed, shots) < prob))
-    return ShotResult(shots, count)
+    return int(np.count_nonzero(uniforms(seed, shots) < prob))

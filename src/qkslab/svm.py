@@ -7,8 +7,7 @@ The solver maximizes the standard dual
 
 with maximal-violating-pair working-set selection and stops when the
 largest KKT violation drops to ``tol``.  Selection ties break on the lowest
-index, so training is fully deterministic; the seed is recorded for
-provenance only.
+index, so training is fully deterministic.
 """
 from __future__ import annotations
 
@@ -17,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramMatrix, kernel_fingerprint
+from .kernels import GramMatrix
 
 _TAU = 1e-12  # curvature floor when the gram is indefinite
+_MAX_ITER = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,10 +28,7 @@ class SvmModel:
     bias: float
     labels: np.ndarray
     C: float
-    tol: float
-    seed: int
     train_ids: tuple[str, ...]
-    kernel_fingerprint: str
     n_iter: int
     converged: bool
 
@@ -46,8 +43,8 @@ class SvmModel:
         return np.flatnonzero(self.alphas > 1e-12)
 
 
-def train(gram: GramMatrix, labels, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
-          max_iter: int = 1_000_000, callback=None) -> SvmModel:
+def train(gram: GramMatrix, labels, C: float = 1.0, tol: float = 1e-3,
+          callback=None) -> SvmModel:
     """Fit the dual on a symmetric training gram.
 
     ``callback(iteration, dual_objective)`` fires once per SMO step when
@@ -76,7 +73,7 @@ def train(gram: GramMatrix, labels, C: float = 1.0, tol: float = 1e-3, seed: int
     converged = False
     iteration = 0
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         crit = -y * grad
         up = np.where(pos, alpha < C, alpha > 0)
         low = np.where(pos, alpha > 0, alpha < C)
@@ -110,7 +107,7 @@ def train(gram: GramMatrix, labels, C: float = 1.0, tol: float = 1e-3, seed: int
         if callback is not None:
             callback(iteration, 0.5 * float(alpha @ (1.0 - grad)))
     if not converged:
-        warnings.warn(f"SMO did not reach tol={tol} within {max_iter} iterations",
+        warnings.warn(f"SMO did not reach tol={tol} within {_MAX_ITER} iterations",
                       RuntimeWarning, stacklevel=2)
 
     margins = K @ (alpha * y)  # decision values without bias
@@ -125,8 +122,7 @@ def train(gram: GramMatrix, labels, C: float = 1.0, tol: float = 1e-3, seed: int
         b_up = cand[upper].min() if upper.any() else np.inf
         bias = float((b_lo + b_up) / 2.0)
 
-    return SvmModel(alpha, bias, y.astype(np.int64), float(C), float(tol), seed,
-                    gram.row_ids, kernel_fingerprint(gram.config), iteration, converged)
+    return SvmModel(alpha, bias, y.astype(np.int64), float(C), gram.row_ids, iteration, converged)
 
 
 def decision_values(model: SvmModel, cross_gram: GramMatrix) -> np.ndarray:
@@ -140,53 +136,3 @@ def predict(model: SvmModel, cross_gram: GramMatrix) -> np.ndarray:
     """Sign of the decision value; exact zeros map to -1."""
     return np.where(decision_values(model, cross_gram) > 0, 1, -1)
 
-
-# --- model file format -------------------------------------------------------
-
-MODEL_FORMAT = "qkslab-svm"
-MODEL_VERSION = "1.0"
-
-
-def write_model(model: SvmModel, path) -> None:
-    lines = [
-        f"{MODEL_FORMAT} {MODEL_VERSION}",
-        f"C {model.C:.17g}",
-        f"tol {model.tol:.17g}",
-        f"seed {model.seed}",
-        f"bias {model.bias:.17g}",
-        f"n_iter {model.n_iter}",
-        f"converged {int(model.converged)}",
-        f"kernel_fingerprint {model.kernel_fingerprint}",
-        f"n {len(model.train_ids)}",
-        "ids " + " ".join(model.train_ids),
-        "labels " + " ".join(str(int(v)) for v in model.labels),
-        "alphas " + " ".join(f"{v:.17g}" for v in model.alphas),
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_model(path) -> SvmModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    magic = lines[0].split() if lines else []
-    if len(magic) != 2 or magic[0] != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    if magic[1].split(".")[0] != MODEL_VERSION.split(".")[0]:
-        raise ValueError(f"{path}: unsupported format version {magic[1]}")
-    fields = {}
-    for ln in lines[1:]:
-        key, _, value = ln.partition(" ")
-        fields[key] = value
-    return SvmModel(
-        np.array([float(v) for v in fields["alphas"].split()]),
-        float(fields["bias"]),
-        np.array([int(v) for v in fields["labels"].split()], dtype=np.int64),
-        float(fields["C"]),
-        float(fields["tol"]),
-        int(fields["seed"]),
-        tuple(fields["ids"].split()),
-        fields["kernel_fingerprint"],
-        int(fields["n_iter"]),
-        bool(int(fields["converged"])),
-    )

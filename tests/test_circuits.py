@@ -1,10 +1,9 @@
-"""Tests for the circuit IR: validation, adjoint, depth, serialization."""
+"""Tests for the circuit IR: validation, adjoint, depth."""
 from math import pi
 
 import pytest
 
-from qkslab.circuits import (Circuit, Gate, GateKind, adjoint, circuit_from_text,
-                             circuit_to_text, compose, cx, dag_depth, h, p, rx)
+from qkslab.circuits import Circuit, Gate, GateKind, adjoint, compose, cx, dag_depth, h, p, rx
 
 
 def test_gate_validation():
@@ -48,24 +47,6 @@ def test_compose_adds_depths_and_checks_register():
     assert compose(a, b).gates == (h(0), cx(0, 1))
     with pytest.raises(ValueError):
         compose(a, Circuit(3, ()))
-
-
-def test_text_round_trip():
-    c = Circuit(3, (h(0), rx(pi / 2, 1), p(2.8, 2), cx(0, 1), rx(-1.2345678901234567, 0)))
-    text = circuit_to_text(c)
-    assert text.splitlines()[0] == "QUBITS 3"
-    back = circuit_from_text(text)
-    assert back.num_qubits == c.num_qubits
-    assert back.gates == c.gates  # angles survive exactly
-
-
-def test_text_parse_errors_carry_line_numbers():
-    with pytest.raises(ValueError, match="line 1"):
-        circuit_from_text("H q0\n")
-    with pytest.raises(ValueError, match="line 2"):
-        circuit_from_text("QUBITS 2\nRZ 0.5 q0\n")
-    with pytest.raises(ValueError, match="line 3"):
-        circuit_from_text("QUBITS 2\nH q0\nRX oops q1\n")
 
 
 def test_dag_depth_overlaps_disjoint_gates():

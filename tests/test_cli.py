@@ -68,13 +68,17 @@ def test_kernel_exact_diagonal(dataset, tmp_path, capsys):
 
 
 def test_kernel_shot_cap(dataset, tmp_path, capsys):
-    args = ["kernel", "--dataset", str(dataset), "--map", "yyy", "--features", "2",
-            "--size", "16", "--mode", "shots", "--shots", "2000",
-            "--out", str(tmp_path / "k.gram")]
-    code, _, err = _run(args, capsys)
-    assert code != 0 and "cap" in err
-    code, _, err = _run(args + ["--allow-overshoot"], capsys)
-    assert code == 0, err
+    for command in (["kernel", "--map", "yyy", "--features", "2", "--size", "16"],
+                    ["sweep", "--kernels", "yyy", "--features", "2", "--sizes", "16",
+                     "--trials", "1"],
+                    ["variability", "--kernel", "yyy", "--features", "2", "--size", "16",
+                     "--trials", "2"]):
+        args = command + ["--dataset", str(dataset), "--mode", "shots", "--shots", "2000",
+                          "--out", str(tmp_path / "out")]
+        code, _, err = _run(args, capsys)
+        assert code != 0 and "cap" in err
+        code, _, err = _run(args + ["--allow-overshoot"], capsys)
+        assert code == 0, err
 
 
 def test_kernel_determinism(dataset, tmp_path, capsys):
@@ -165,6 +169,18 @@ def test_sweep_without_sizes_is_an_error(dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--sizes", "400", "--features", "2", "--kernels", "rbf", "--trials", "1"],
+    ["variability", "--features", "9", "--size", "30", "--trials", "2"],
+], ids=["sweep", "variability"])
+def test_trial_failures_are_errors_with_their_coordinates(dataset, tmp_path, capsys, command):
+    code, _, err = _run(command + ["--dataset", str(dataset), "--out", str(tmp_path / "out")],
+                        capsys)
+    assert code == 1
+    assert err.startswith("error: config (F=")
+    assert ") trial 0: " in err
+
+
 def test_variability_command(dataset, tmp_path, capsys):
     out = tmp_path / "var.json"
     code, text, err = _run(["variability", "--dataset", str(dataset), "--size", "30",
@@ -226,6 +242,26 @@ def test_replay_detects_changed_inputs(tmp_path, capsys):
     code, _, err = _run(["replay", str(out) + ".manifest.json"], capsys)
     assert code != 0
     assert "changed" in err
+
+
+_MANIFEST = {"format": "qkslab-manifest", "version": "1.0", "tool_version": __version__,
+             "command": "resources", "arguments": {}, "inputs": {}, "outputs": {}}
+
+
+@pytest.mark.parametrize("text", [
+    "{",
+    json.dumps(["not", "an", "object"]),
+    *(json.dumps({k: v for k, v in _MANIFEST.items() if k != key})
+      for key in ("command", "arguments", "inputs", "outputs")),
+    json.dumps({**_MANIFEST, "inputs": ["ds.json"]}),
+], ids=["not-json", "list", "no-command", "no-arguments", "no-inputs", "no-outputs",
+        "inputs-list"])
+def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, text):
+    manifest_path = tmp_path / "m.manifest.json"
+    manifest_path.write_text(text)
+    code, _, err = _run(["replay", str(manifest_path)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {manifest_path}: malformed manifest")
 
 
 def test_replay_rejects_a_manifest_from_another_tool_version(tmp_path, capsys):

@@ -156,12 +156,16 @@ def test_merge_ptri():
 
 # --- variability ---
 
-def test_variability_forced_identical_seeds_has_zero_std():
+@pytest.mark.parametrize("kernel", [quantum_config("zz", 2, 1),
+                                    quantum_config("zz", 2, 1, "shots", 64, master_seed=5)],
+                         ids=["exact", "shots"])
+def test_variability_records_are_the_one_point_sweep_records(kernel):
     ds = synthetic_dataset(6, days=80)
-    vr = variability_study(ds, ConfigPoint(3, 40), rbf_config(), trials=2, master_seed=1,
-                           trial_seeds=[77, 77])
-    assert vr.std == 0.0
-    assert vr.records[0].balanced_accuracy == vr.records[1].balanced_accuracy
+    point = ConfigPoint(2, 30)
+    vr = variability_study(ds, point, kernel, trials=3, master_seed=1, split_ratio=0.6,
+                           svm_c=2.0, svm_tol=1e-4)
+    sr = run_sweep(ds, [point], [kernel], 3, 1, 0.6, 2.0, 1e-4)
+    assert vr.records == sr.records(point, kernel.name)
 
 
 def test_two_point_sample_std():

@@ -86,8 +86,8 @@ def test_zero_probability():
 
 def test_sampling_extremes_and_determinism():
     for seed in (0, 1, 999):
-        assert sample_zero_count(1.0, 1024, seed).zero_count == 1024
-        assert sample_zero_count(0.0, 1024, seed).zero_count == 0
+        assert sample_zero_count(1.0, 1024, seed) == 1024
+        assert sample_zero_count(0.0, 1024, seed) == 0
     p = zero_probability(simulate(Circuit(1, (h(0),))))
     a = sample_zero_count(p, 512, 42)
     b = sample_zero_count(p, 512, 42)
@@ -99,5 +99,5 @@ def test_sampling_extremes_and_determinism():
 def test_sampling_mean_approaches_probability():
     p = zero_probability(simulate(Circuit(1, (h(0),))))  # 0.5
     shots = 1024
-    estimates = [sample_zero_count(p, shots, seed).zero_count / shots for seed in range(10_000)]
+    estimates = [sample_zero_count(p, shots, seed) / shots for seed in range(10_000)]
     assert abs(np.mean(estimates) - 0.5) < 0.005
