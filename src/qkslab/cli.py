@@ -1,7 +1,7 @@
 """Command-line entry point wiring the modules into file-driven runs.
 
-Every subcommand writes a ``<out>.manifest.json`` sidecar recording the
-resolved arguments, input digests, and output digests; ``qkslab replay``
+Every subcommand writes a ``<out>.manifest.json`` sidecar recording every
+parsed argument, input digests, and output digests; ``qkslab replay``
 re-executes a manifest and verifies the outputs are byte-identical.
 Outputs never embed timestamps, so reruns reproduce files exactly.
 """
@@ -38,7 +38,7 @@ class CliError(RuntimeError):
     pass
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -46,27 +46,33 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(command: str, args: dict, inputs: list, outputs: list, out_path: Path) -> Path:
-    doc = {
+def _write_manifest(args, inputs: list, outputs: list) -> None:
+    """Write ``<out>.manifest.json``: every parsed argument plus input and output digests."""
+    write_json({
         "format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, "tool_version": __version__,
-        "command": command,
-        "arguments": args,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {str(p): _sha256(Path(p)) for p in outputs},
-    }
-    manifest_path = Path(str(out_path) + ".manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return manifest_path
+        "command": args.command,
+        "arguments": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
+        "inputs": {str(p): _sha256(p) for p in inputs},
+        "outputs": {str(p): _sha256(p) for p in outputs},
+    }, args.out + ".manifest.json")
 
 
-def _make_kernel(name: str, features: int, reps: int, mode: str, shots, seed: int,
-                 gamma, allow_overshoot: bool):
+def _write_result(args, doc: dict, inputs: list) -> None:
+    """Write a result document to ``--out``, its CSV to ``--table`` if given, then the manifest."""
+    write_json(doc, args.out)
+    outputs = [args.out]
+    if args.table:
+        write_table(doc, args.table)
+        outputs.append(args.table)
+    _write_manifest(args, inputs, outputs)
+
+
+def _make_kernel(name: str, features: int, args):
     if name == "rbf":
-        return rbf_config(gamma=gamma, master_seed=seed)
-    return quantum_config(name, features, reps, mode, shots if mode == "shots" else None,
-                          seed, allow_overshoot)
+        return rbf_config(gamma=args.gamma, master_seed=args.seed)
+    return quantum_config(name, features, args.reps, args.mode,
+                          args.shots if args.mode == "shots" else None, args.seed,
+                          args.allow_overshoot)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -82,11 +88,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    out = Path(args.out)
     if args.synthetic is not None:
         ds = synthetic_dataset(args.synthetic, days=args.days)
         inputs: list = []
-        arg_doc = {"synthetic": args.synthetic, "days": args.days, "out": str(out)}
     else:
         if not args.index or not args.gold:
             raise CliError("provide --index and --gold, or --synthetic SEED")
@@ -96,10 +100,8 @@ def cmd_ingest(args) -> int:
         columns = tuple(args.columns.split(",")) if args.columns else DEFAULT_FEATURES
         ds = label_direction(ingest(args.index, args.gold), feature_columns=columns)
         inputs = [args.index, args.gold]
-        arg_doc = {"index": str(args.index), "gold": str(args.gold),
-                   "columns": ",".join(columns), "out": str(out)}
-    write_dataset(ds, out)
-    _write_manifest("ingest", arg_doc, inputs, [out], out)
+    write_dataset(ds, args.out)
+    _write_manifest(args, inputs, [args.out])
     pos = int(np.sum(ds.y == 1))
     print(f"rows={len(ds)} positive={pos} negative={len(ds) - pos} features={len(ds.feature_names)}")
     return 0
@@ -111,22 +113,15 @@ def cmd_kernel(args) -> int:
     subset = SubsetSpec(size, args.features, mix64(args.seed, size, args.features),
                         args.split_ratio)
     train_ds, test_ds = scale_split(*sample_subset(ds, subset))
-    config = _make_kernel(args.map, args.features, args.reps, args.mode,
-                          args.shots, args.seed, args.gamma, args.allow_overshoot)
-    config = resolve_gamma(config, train_ds.X)
+    config = resolve_gamma(_make_kernel(args.map, args.features, args), train_ds.X)
     if args.rows == "train":
         gram = gram_matrix(train_ds.X, None, config, row_ids=train_ds.ids,
                            clip=False if args.no_psd_clip else None)
     else:
         gram = gram_matrix(test_ds.X, train_ds.X, config,
                            row_ids=test_ds.ids, col_ids=train_ds.ids)
-    out = Path(args.out)
-    write_gram(gram, out)
-    arg_doc = {k: getattr(args, k) for k in
-               ("dataset", "map", "features", "reps", "mode", "shots", "seed", "rows",
-                "size", "split_ratio", "gamma", "allow_overshoot", "no_psd_clip")}
-    arg_doc["out"] = str(out)
-    _write_manifest("kernel", arg_doc, [args.dataset], [out], out)
+    write_gram(gram, args.out)
+    _write_manifest(args, [args.dataset], [args.out])
     shape = gram.values.shape
     print(f"kernel={config.name} mode={config.mode} rows={shape[0]} cols={shape[1]} "
           f"symmetric={int(gram.symmetric)}")
@@ -140,8 +135,7 @@ def _sweep_kernels(args):
         if name not in KERNEL_CHOICES:
             raise CliError(f"unknown kernel {name!r}; choose from {KERNEL_CHOICES}")
         # feature count is a template here; the sweep re-instantiates per grid point
-        kernels.append(_make_kernel(name, max(DEFAULT_FEATURE_COUNTS), args.reps, args.mode,
-                                    args.shots, args.seed, args.gamma, args.allow_overshoot))
+        kernels.append(_make_kernel(name, max(DEFAULT_FEATURE_COUNTS), args))
     return kernels
 
 
@@ -152,19 +146,7 @@ def cmd_sweep(args) -> int:
     configs = [ConfigPoint(f, n) for f in feature_counts for n in sizes]
     sr = run_sweep(ds, configs, _sweep_kernels(args), args.trials, args.seed,
                    args.split_ratio, args.c, args.tol)
-    out = Path(args.out)
-    doc = sweep_to_doc(sr)
-    write_json(doc, out)
-    outputs = [out]
-    if args.table:
-        write_table(doc, args.table)
-        outputs.append(Path(args.table))
-    arg_doc = {k: getattr(args, k) for k in
-               ("dataset", "sizes", "features", "kernels", "trials", "seed", "mode", "shots",
-                "reps", "gamma", "split_ratio", "c", "tol", "allow_overshoot")}
-    arg_doc["out"] = str(out)
-    arg_doc["table"] = str(args.table) if args.table else None
-    _write_manifest("sweep", arg_doc, [args.dataset], outputs, out)
+    _write_result(args, sweep_to_doc(sr), [args.dataset])
     print(f"configs={len(configs)} kernels={len(sr.kernel_names)} trials={args.trials} "
           f"records={sum(len(v) for v in sr.cells.values())}")
     return 0
@@ -174,17 +156,8 @@ def cmd_ptri(args) -> int:
     sr = sweep_from_doc(read_json(args.sweep))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     grid = merge_ptri(ptri(sr, m, args.metric, args.selection, args.baseline) for m in methods)
-    doc = ptri_to_doc(grid, args.metric, args.selection, args.baseline)
-    out = Path(args.out)
-    write_json(doc, out)
-    outputs = [out]
-    if args.table:
-        write_table(doc, args.table)
-        outputs.append(Path(args.table))
-    arg_doc = {"sweep": str(args.sweep), "methods": args.methods, "metric": args.metric,
-               "selection": args.selection, "baseline": args.baseline,
-               "out": str(out), "table": str(args.table) if args.table else None}
-    _write_manifest("ptri", arg_doc, [args.sweep], outputs, out)
+    _write_result(args, ptri_to_doc(grid, args.metric, args.selection, args.baseline),
+                  [args.sweep])
     for method in methods:
         print(f"{method}: max_score={grid.scores[method].max():.6f}")
     return 0
@@ -192,23 +165,10 @@ def cmd_ptri(args) -> int:
 
 def cmd_variability(args) -> int:
     ds = read_dataset(args.dataset)
-    kernel = _make_kernel(args.kernel, args.features, args.reps, args.mode,
-                          args.shots, args.seed, args.gamma, args.allow_overshoot)
-    vr = variability_study(ds, ConfigPoint(args.features, args.size), kernel, args.trials,
+    vr = variability_study(ds, ConfigPoint(args.features, args.size),
+                           _make_kernel(args.kernel, args.features, args), args.trials,
                            args.seed, args.split_ratio, args.c, args.tol, args.bins)
-    doc = variability_to_doc(vr)
-    out = Path(args.out)
-    write_json(doc, out)
-    outputs = [out]
-    if args.table:
-        write_table(doc, args.table)
-        outputs.append(Path(args.table))
-    arg_doc = {k: getattr(args, k) for k in
-               ("dataset", "size", "features", "kernel", "trials", "seed", "mode", "shots",
-                "reps", "gamma", "split_ratio", "c", "tol", "bins", "allow_overshoot")}
-    arg_doc["out"] = str(out)
-    arg_doc["table"] = str(args.table) if args.table else None
-    _write_manifest("variability", arg_doc, [args.dataset], outputs, out)
+    _write_result(args, variability_to_doc(vr), [args.dataset])
     print(f"trials={vr.trials} mean={vr.mean:.6f} std={vr.std:.6f}")
     return 0
 
@@ -222,13 +182,11 @@ def cmd_resources(args) -> int:
     for row in rows:
         print("  ".join(str("" if v is None else v).ljust(w) for v, w in zip(row, widths)))
     if args.out:
-        out = Path(args.out)
-        with open(out, "w", newline="", encoding="utf-8") as fh:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(TABLE_HEADER)
             writer.writerows(rows)
-        _write_manifest("resources", {"features": args.features, "reps": args.reps,
-                                      "verify": args.verify, "out": str(out)}, [], [out], out)
+        _write_manifest(args, [], [args.out])
     if args.verify and not all(row[-1] for row in rows):
         raise CliError("formula/circuit mismatch in resource verification")
     return 0
@@ -236,9 +194,8 @@ def cmd_resources(args) -> int:
 
 def cmd_report(args) -> int:
     doc = read_json(args.input)
-    out = Path(args.out)
-    write_table(doc, out)
-    _write_manifest("report", {"input": str(args.input), "out": str(out)}, [args.input], [out], out)
+    write_table(doc, args.out)
+    _write_manifest(args, [args.input], [args.out])
     header, rows = result_table_rows(doc)
     print(f"kind={doc.get('format')} columns={len(header)} rows={len(rows)}")
     return 0
@@ -265,7 +222,7 @@ def cmd_replay(args) -> int:
     for path, digest in manifest["inputs"].items():
         if not Path(path).exists():
             raise CliError(f"replay input missing: {path}")
-        if _sha256(Path(path)) != digest:
+        if _sha256(path) != digest:
             raise CliError(f"replay input changed since the original run: {path}")
     command = manifest["command"]
     argv = [command]
@@ -283,7 +240,7 @@ def cmd_replay(args) -> int:
     if code != 0:
         return code
     mismatched = [path for path, digest in manifest["outputs"].items()
-                  if _sha256(Path(path)) != digest]
+                  if _sha256(path) != digest]
     if mismatched:
         raise CliError(f"replay outputs differ from the manifest: {mismatched}")
     print(f"replayed {command}: {len(manifest['outputs'])} output file(s) byte-identical")
@@ -292,9 +249,7 @@ def cmd_replay(args) -> int:
 
 # --- argument parsing -------------------------------------------------------------
 
-def _add_kernel_flags(sub, with_map_choice: bool = True) -> None:
-    if with_map_choice:
-        sub.add_argument("--map", choices=KERNEL_CHOICES, required=True)
+def _add_kernel_flags(sub) -> None:
     sub.add_argument("--reps", type=int, default=2, help="feature-map repetitions (default 2)")
     sub.add_argument("--mode", choices=("exact", "shots"), default="exact")
     sub.add_argument("--shots", type=int, default=SHOT_CAP)
@@ -334,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--no-psd-clip", action="store_true",
                    help="skip eigenvalue clipping for symmetric shots-mode grams")
+    s.add_argument("--map", choices=KERNEL_CHOICES, required=True)
     _add_kernel_flags(s)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_kernel)
@@ -347,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=10)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--split-ratio", type=float, default=0.7)
-    _add_kernel_flags(s, with_map_choice=False)
+    _add_kernel_flags(s)
     _add_svm_flags(s)
     s.add_argument("--out", required=True)
     s.add_argument("--table", default=None, help="also write a flat CSV of per-trial records")
@@ -373,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--split-ratio", type=float, default=0.7)
     s.add_argument("--bins", type=int, default=20)
-    _add_kernel_flags(s, with_map_choice=False)
+    _add_kernel_flags(s)
     _add_svm_flags(s)
     s.add_argument("--out", required=True)
     s.add_argument("--table", default=None)
@@ -402,7 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ExperimentError, ValueError, OSError) as exc:
+    except (CliError, ExperimentError, ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -91,23 +91,39 @@ def _parse_pct(token: str, where: str) -> float:
     return _parse_number(token, where)
 
 
-def _read_csv_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
-    return [cell.strip().strip('"') for cell in header], rows
-
-
 def _column_index(header: list[str], prefix: str, path) -> int:
     wanted = prefix.lower()
     for idx, name in enumerate(header):
         if name.lower().replace(" ", "").startswith(wanted):
             return idx
     raise ParseError(f"{path}:1: missing column starting with {prefix!r} in header {header}")
+
+
+def _read_dated_rows(path, columns) -> list[tuple]:
+    """Parsed CSV rows sorted by their first cell, a date that must not repeat.
+
+    ``columns`` pairs each header prefix with the parser of that column's cells.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [cell.strip().strip('"') for cell in next(reader)]
+        except StopIteration:
+            raise ParseError(f"{path}:1: empty file") from None
+        idx = [_column_index(header, prefix, path) for prefix, _ in columns]
+        parsed = []
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) <= max(idx):
+                raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            parsed.append(tuple(parse(row[i], where) for i, (_, parse) in zip(idx, columns)))
+    parsed.sort(key=lambda r: r[0])
+    for a, b in zip(parsed, parsed[1:]):
+        if a[0] == b[0]:
+            raise ParseError(f"{path}: duplicate date {a[0].isoformat()}")
+    return parsed
 
 
 def ingest(index_csv, gold_csv) -> RawSeries:
@@ -117,42 +133,11 @@ def ingest(index_csv, gold_csv) -> RawSeries:
     join, so an index date takes the latest gold price at or before it;
     index dates preceding the first gold date drop out.
     """
-    header, rows = _read_csv_rows(index_csv)
-    cols = {name: _column_index(header, key, index_csv) for name, key in
-            (("date", "date"), ("price", "price"), ("open", "open"), ("high", "high"),
-             ("low", "low"), ("volume", "vol"), ("change_pct", "change"))}
-    parsed = []
-    for lineno, row in rows:
-        where = f"{index_csv}:{lineno}"
-        if len(row) <= max(cols.values()):
-            raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
-        parsed.append((
-            _parse_date(row[cols["date"]], where),
-            _parse_number(row[cols["price"]], where),
-            _parse_number(row[cols["open"]], where),
-            _parse_number(row[cols["high"]], where),
-            _parse_number(row[cols["low"]], where),
-            _parse_volume(row[cols["volume"]], where),
-            _parse_pct(row[cols["change_pct"]], where),
-        ))
-    parsed.sort(key=lambda r: r[0])
-    for a, b in zip(parsed, parsed[1:]):
-        if a[0] == b[0]:
-            raise ParseError(f"{index_csv}: duplicate date {a[0].isoformat()}")
-
-    gheader, grows = _read_csv_rows(gold_csv)
-    gdate = _column_index(gheader, "date", gold_csv)
-    gprice = _column_index(gheader, "price", gold_csv)
-    gold = []
-    for lineno, row in grows:
-        where = f"{gold_csv}:{lineno}"
-        if len(row) <= max(gdate, gprice):
-            raise ParseError(f"{where}: expected {len(gheader)} fields, got {len(row)}")
-        gold.append((_parse_date(row[gdate], where), _parse_number(row[gprice], where)))
-    gold.sort(key=lambda r: r[0])
-    for a, b in zip(gold, gold[1:]):
-        if a[0] == b[0]:
-            raise ParseError(f"{gold_csv}: duplicate date {a[0].isoformat()}")
+    parsed = _read_dated_rows(index_csv, (
+        ("date", _parse_date), ("price", _parse_number), ("open", _parse_number),
+        ("high", _parse_number), ("low", _parse_number), ("vol", _parse_volume),
+        ("change", _parse_pct)))
+    gold = _read_dated_rows(gold_csv, (("date", _parse_date), ("price", _parse_number)))
     if not gold:
         raise ParseError(f"{gold_csv}: no data rows")
 
@@ -521,19 +506,24 @@ def write_dataset(ds: Dataset, path) -> None:
 def read_dataset(path) -> Dataset:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != DATASET_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
         raise ValueError(f"{path}: not a {DATASET_FORMAT} file")
     if str(doc.get("version", "")).split(".")[0] != DATASET_VERSION.split(".")[0]:
         raise ValueError(f"{path}: unsupported format version {doc.get('version')}")
-    rows = doc["rows"]
-    scaling = None
-    if doc.get("scaling"):
-        scaling = ScaleParams(np.array(doc["scaling"]["mins"]), np.array(doc["scaling"]["maxs"]))
-    return Dataset(
-        tuple(doc["feature_names"]),
-        tuple(r["id"] for r in rows),
-        tuple(date.fromisoformat(r["date"]) for r in rows),
-        np.array([r["features"] for r in rows], dtype=np.float64),
-        np.array([r["label"] for r in rows], dtype=np.int64),
-        scaling,
-    )
+    try:
+        rows = doc["rows"]
+        scaling = None
+        if doc.get("scaling"):
+            scaling = ScaleParams(np.array(doc["scaling"]["mins"]),
+                                  np.array(doc["scaling"]["maxs"]))
+        return Dataset(
+            tuple(doc["feature_names"]),
+            tuple(r["id"] for r in rows),
+            tuple(date.fromisoformat(r["date"]) for r in rows),
+            np.array([r["features"] for r in rows], dtype=np.float64),
+            np.array([r["label"] for r in rows], dtype=np.int64),
+            scaling,
+        )
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed {DATASET_FORMAT} file: "
+                         f"missing or mistyped field ({exc!r})") from None

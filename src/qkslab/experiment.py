@@ -334,25 +334,41 @@ def sweep_to_doc(sr: SweepResult) -> dict:
     }
 
 
-def sweep_from_doc(doc: dict) -> SweepResult:
-    if doc.get("format") != SWEEP_FORMAT:
-        raise ValueError(f"not a {SWEEP_FORMAT} document")
+def _result_format(doc, formats: tuple[str, ...]) -> str:
+    """The ``format`` of a result document, which must be one of ``formats``
+    with the major version of RESULT_VERSION."""
+    kind = doc.get("format") if isinstance(doc, dict) else None
+    if kind not in formats:
+        raise ValueError(f"not a {' or '.join(formats)} document")
     if str(doc.get("version", "")).split(".")[0] != RESULT_VERSION.split(".")[0]:
         raise ValueError(f"unsupported format version {doc.get('version')}")
-    cells: dict[tuple[int, int, str], list[TrialRecord]] = {}
-    names = [k["name"] for k in doc["kernels"]]
-    for cell in doc["cells"]:
-        key = (cell["features"], cell["size"], cell["kernel"])
-        if cell["kernel"] not in names:
-            names.append(cell["kernel"])
-        cells[key] = [TrialRecord(r["trial"], r["trial_seed"], r["balanced_accuracy"],
-                                  r["f1"], r["fingerprint"]) for r in cell["records"]]
-    return SweepResult(
-        tuple(ConfigPoint(f, n) for f, n in doc["configs"]),
-        tuple(names),
-        doc["trials"], doc["master_seed"], doc["split_ratio"],
-        doc["svm"]["C"], doc["svm"]["tol"], cells,
-    )
+    return kind
+
+
+def sweep_from_doc(doc: dict) -> SweepResult:
+    _result_format(doc, (SWEEP_FORMAT,))
+    try:
+        cells: dict[tuple[int, int, str], list[TrialRecord]] = {}
+        names = [k["name"] for k in doc["kernels"]]
+        for cell in doc["cells"]:
+            key = (cell["features"], cell["size"], cell["kernel"])
+            if len(cell["records"]) != doc["trials"] or not cell["records"]:
+                raise ValueError(f"malformed {SWEEP_FORMAT} document: cell {key} holds "
+                                 f"{len(cell['records'])} records for {doc['trials']} trials")
+            if cell["kernel"] not in names:
+                names.append(cell["kernel"])
+            cells[key] = [TrialRecord(r["trial"], r["trial_seed"], r["balanced_accuracy"],
+                                      r["f1"], r["fingerprint"]) for r in cell["records"]]
+        configs = tuple(ConfigPoint(f, n) for f, n in doc["configs"])
+        missing = [(c.features, c.size, k) for c in configs for k in names
+                   if (c.features, c.size, k) not in cells]
+        if missing:
+            raise ValueError(f"malformed {SWEEP_FORMAT} document: no cells for {missing}")
+        return SweepResult(configs, tuple(names), doc["trials"], doc["master_seed"],
+                           doc["split_ratio"], doc["svm"]["C"], doc["svm"]["tol"], cells)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed {SWEEP_FORMAT} document: missing or mistyped field "
+                         f"({exc!r})") from None
 
 
 def ptri_to_doc(grid: PTRIGrid, metric: str, trial_selection: str, baseline: str | None) -> dict:
@@ -391,28 +407,30 @@ def read_json(path) -> dict:
 
 def result_table_rows(doc: dict) -> tuple[list[str], list[list]]:
     """Flatten any result document into plot-ready tabular rows."""
-    kind = doc.get("format")
-    if kind == SWEEP_FORMAT:
-        header = ["features", "size", "kernel", "trial", "trial_seed", "balanced_accuracy", "f1"]
-        rows = [[c["features"], c["size"], c["kernel"], r["trial"], r["trial_seed"],
-                 repr(r["balanced_accuracy"]), repr(r["f1"])]
-                for c in doc["cells"] for r in c["records"]]
-        return header, rows
-    if kind == PTRI_FORMAT:
-        header = ["method", "features", "size", "mean_metric", "score"]
-        rows = []
-        for method, surface in sorted(doc["surfaces"].items()):
-            for fi, f in enumerate(doc["feature_axis"]):
-                for si, n in enumerate(doc["size_axis"]):
-                    rows.append([method, f, n, repr(surface["values"][fi][si]),
-                                 repr(surface["scores"][fi][si])])
-        return header, rows
-    if kind == VARIABILITY_FORMAT:
-        header = ["trial", "trial_seed", "balanced_accuracy", "f1"]
-        rows = [[r["trial"], r["trial_seed"], repr(r["balanced_accuracy"]), repr(r["f1"])]
-                for r in doc["records"]]
-        return header, rows
-    raise ValueError(f"cannot tabulate document format {kind!r}")
+    kind = _result_format(doc, (SWEEP_FORMAT, PTRI_FORMAT, VARIABILITY_FORMAT))
+    try:
+        if kind == SWEEP_FORMAT:
+            header = ["features", "size", "kernel", "trial", "trial_seed", "balanced_accuracy",
+                      "f1"]
+            rows = [[c["features"], c["size"], c["kernel"], r["trial"], r["trial_seed"],
+                     repr(r["balanced_accuracy"]), repr(r["f1"])]
+                    for c in doc["cells"] for r in c["records"]]
+        elif kind == PTRI_FORMAT:
+            header = ["method", "features", "size", "mean_metric", "score"]
+            rows = []
+            for method, surface in sorted(doc["surfaces"].items()):
+                for fi, f in enumerate(doc["feature_axis"]):
+                    for si, n in enumerate(doc["size_axis"]):
+                        rows.append([method, f, n, repr(surface["values"][fi][si]),
+                                     repr(surface["scores"][fi][si])])
+        else:
+            header = ["trial", "trial_seed", "balanced_accuracy", "f1"]
+            rows = [[r["trial"], r["trial_seed"], repr(r["balanced_accuracy"]), repr(r["f1"])]
+                    for r in doc["records"]]
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed {kind} document: missing or mistyped field "
+                         f"({exc!r})") from None
+    return header, rows
 
 
 def write_table(doc: dict, path) -> None:

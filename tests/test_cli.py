@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface and its manifests."""
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from qkslab import __version__
-from qkslab.cli import main
+from qkslab.cli import build_parser, main
 
 
 def _run(argv, capsys):
@@ -211,25 +212,113 @@ def test_schema_version_rejection(tmp_path, capsys):
                                "kernels": [], "configs": [], "trials": 1,
                                "master_seed": 0, "split_ratio": 0.7,
                                "svm": {"C": 1.0, "tol": 0.001}}))
-    code, _, err = _run(["ptri", "--sweep", str(bad), "--methods", "rbf",
-                         "--out", str(tmp_path / "p.json")], capsys)
-    assert code != 0
-    assert "version" in err
+    for argv in (["ptri", "--sweep", str(bad), "--methods", "rbf"],
+                 ["report", "--input", str(bad)]):
+        code, _, err = _run(argv + ["--out", str(tmp_path / "p.json")], capsys)
+        assert code != 0
+        assert "version" in err
 
 
-def test_replay_reproduces_byte_identical_outputs(tmp_path, capsys):
-    ds_path = tmp_path / "ds.json"
-    assert _run(["ingest", "--synthetic", "11", "--days", "70", "--out", str(ds_path)], capsys)[0] == 0
-    sweep_path = tmp_path / "s.json"
-    argv = ["sweep", "--dataset", str(ds_path), "--sizes", "30", "--features", "2",
-            "--kernels", "z,rbf", "--trials", "2", "--seed", "8", "--out", str(sweep_path)]
-    assert _run(argv, capsys)[0] == 0
-    before = _digest(sweep_path)
-    manifest_path = tmp_path / "s.json.manifest.json"
-    code, out, err = _run(["replay", str(manifest_path)], capsys)
+_SWEEP_DOC = {"format": "qkslab-sweep", "version": "1.0", "master_seed": 0, "trials": 1,
+              "split_ratio": 0.7, "svm": {"C": 1.0, "tol": 0.001}, "configs": [[2, 30]],
+              "kernels": [{"name": "rbf"}],
+              "cells": [{"features": 2, "size": 30, "kernel": "rbf", "records": []}]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("ptri", {k: v for k, v in _SWEEP_DOC.items() if k != "kernels"}),
+    ("ptri", _SWEEP_DOC),
+    ("ptri", {**_SWEEP_DOC, "cells": []}),
+    ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0", "x1"]}),
+    ("report", []),
+    ("ptri", []),
+    ("sweep", []),
+], ids=["sweep-without-kernels", "cell-without-records", "sweep-without-cells",
+        "dataset-without-rows",
+        "report-list", "ptri-list", "sweep-list"])
+def test_malformed_input_files_are_errors(tmp_path, capsys, command, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = {"ptri": ["ptri", "--sweep", str(path), "--methods", "rbf"],
+            "report": ["report", "--input", str(path)],
+            "sweep": ["sweep", "--dataset", str(path), "--sizes", "30", "--features", "2",
+                      "--kernels", "rbf", "--trials", "1"]}[command]
+    code, _, err = _run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_ingest_csv_field_over_the_csv_limit_is_an_error(tmp_path, capsys):
+    csv_path = tmp_path / "i.csv"
+    csv_path.write_text('Date,Price,Open,High,Low,Vol.,Change %\n01/02/2018,"'
+                        + "9" * 200_000 + '",1,1,1,1,1\n')
+    code, _, err = _run(["ingest", "--index", str(csv_path), "--gold", str(csv_path),
+                         "--out", str(tmp_path / "ds.json")], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+# One command line per manifest-writing command; {d} is the directory of the inputs.
+_COMMAND_LINES = {
+    "ingest-synthetic": "ingest --synthetic 11 --days 70 --out {d}/out.json",
+    "ingest-csv": "ingest --index {d}/i.csv --gold {d}/g.csv --out {d}/out.json",
+    "kernel": "kernel --dataset {d}/ds.json --map zz --features 2 --size 20 --mode shots "
+              "--shots 64 --seed 3 --out {d}/out.gram",
+    "sweep": "sweep --dataset {d}/ds.json --sizes 30 --features 2 --kernels z,rbf --trials 2 "
+             "--seed 8 --out {d}/out.json --table {d}/out.csv",
+    "ptri": "ptri --sweep {d}/sweep.json --methods z,rbf --selection reference "
+            "--out {d}/out.json --table {d}/out.csv",
+    "variability": "variability --dataset {d}/ds.json --size 30 --features 2 --trials 3 "
+                   "--out {d}/out.json --table {d}/out.csv",
+    "resources": "resources --features 2,3 --reps 1 --verify --out {d}/out.csv",
+    "report": "report --input {d}/sweep.json --out {d}/out.csv",
+}
+
+
+@pytest.fixture()
+def run_inputs(tmp_path, capsys):
+    """A dataset, its source CSVs and a sweep file for the command lines above."""
+    from qkslab.data import write_synthetic_csvs
+
+    write_synthetic_csvs(tmp_path / "i.csv", tmp_path / "g.csv", 5, days=60)
+    for argv in (f"ingest --synthetic 11 --days 70 --out {tmp_path}/ds.json",
+                 f"sweep --dataset {tmp_path}/ds.json --sizes 30 --features 2 "
+                 f"--kernels z,rbf --trials 2 --out {tmp_path}/sweep.json"):
+        code, _, err = _run(argv.split(), capsys)
+        assert code == 0, err
+    return tmp_path
+
+
+def _command_line(name, directory):
+    return _COMMAND_LINES[name].format(d=directory).split()
+
+
+@pytest.mark.parametrize("name", list(_COMMAND_LINES))
+def test_replay_reproduces_byte_identical_outputs(run_inputs, capsys, name):
+    argv = _command_line(name, run_inputs)
+    code, _, err = _run(argv, capsys)
+    assert code == 0, err
+    manifest_path = argv[argv.index("--out") + 1] + ".manifest.json"
+    outputs = json.loads(Path(manifest_path).read_text())["outputs"]
+    before = {path: _digest(Path(path)) for path in outputs}
+    for path in outputs:
+        Path(path).unlink()
+    code, out, err = _run(["replay", manifest_path], capsys)
     assert code == 0, err
     assert "byte-identical" in out
-    assert _digest(sweep_path) == before
+    assert {path: _digest(Path(path)) for path in outputs} == before
+
+
+@pytest.mark.parametrize("name", list(_COMMAND_LINES))
+def test_manifest_records_every_parsed_argument(run_inputs, capsys, name):
+    argv = _command_line(name, run_inputs)
+    code, _, err = _run(argv, capsys)
+    assert code == 0, err
+    manifest = json.loads(Path(argv[argv.index("--out") + 1] + ".manifest.json").read_text())
+    parsed = vars(build_parser().parse_args(argv))
+    assert set(manifest["arguments"]) == set(parsed) - {"command", "func"}
+    assert manifest["arguments"] == {k: parsed[k] for k in manifest["arguments"]}
+    assert manifest["command"] == parsed["command"]
 
 
 def test_replay_detects_changed_inputs(tmp_path, capsys):
