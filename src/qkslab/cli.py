@@ -17,12 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (DEFAULT_FEATURES, ingest, label_direction, read_dataset, synthetic_dataset,
-                   sample_subset, scale_split, write_dataset, SubsetSpec)
+from .data import (DEFAULT_DAYS, DEFAULT_FEATURES, ingest, label_direction, read_dataset,
+                   synthetic_dataset, sample_subset, scale_split, write_dataset, SubsetSpec)
+from .documents import check_format, read_json, write_csv, write_json
 from .experiment import (ConfigPoint, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES, ExperimentError,
-                         merge_ptri, ptri, ptri_to_doc, read_json, result_table_rows, run_sweep,
-                         sweep_from_doc, sweep_to_doc, variability_study, variability_to_doc,
-                         write_json, write_table)
+                         RESULT_FORMATS, merge_ptri, ptri, ptri_to_doc, result_table_rows,
+                         run_sweep, sweep_from_doc, sweep_to_doc, variability_study,
+                         variability_to_doc, write_table)
+from .feature_maps import PRESETS
 from .kernels import SHOT_CAP, gram_matrix, quantum_config, rbf_config, resolve_gamma, write_gram
 from .resources import TABLE_HEADER, verification_table
 from .seeding import mix64
@@ -31,7 +33,7 @@ MANIFEST_FORMAT = "qkslab-manifest"
 MANIFEST_VERSION = "1.0"
 _MANIFEST_FIELDS = {"command": str, "arguments": dict, "inputs": dict, "outputs": dict}
 
-KERNEL_CHOICES = ("z", "zz", "yyy", "yzz", "zzz", "rbf")
+KERNEL_CHOICES = (*PRESETS, "rbf")
 
 
 class CliError(RuntimeError):
@@ -88,16 +90,21 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
+    columns = tuple(args.columns.split(",")) if args.columns else DEFAULT_FEATURES
     if args.synthetic is not None:
-        ds = synthetic_dataset(args.synthetic, days=args.days)
+        if args.index or args.gold:
+            raise CliError("--synthetic generates the data; drop --index and --gold")
+        days = DEFAULT_DAYS if args.days is None else args.days
+        ds = synthetic_dataset(args.synthetic, days, columns)
         inputs: list = []
     else:
         if not args.index or not args.gold:
             raise CliError("provide --index and --gold, or --synthetic SEED")
+        if args.days is not None:
+            raise CliError("--days applies to --synthetic only; CSV input keeps every joined day")
         for path in (args.index, args.gold):
             if not Path(path).exists():
                 raise CliError(f"file not found: {path}")
-        columns = tuple(args.columns.split(",")) if args.columns else DEFAULT_FEATURES
         ds = label_direction(ingest(args.index, args.gold), feature_columns=columns)
         inputs = [args.index, args.gold]
     write_dataset(ds, args.out)
@@ -153,7 +160,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ptri(args) -> int:
-    sr = sweep_from_doc(read_json(args.sweep))
+    sr = sweep_from_doc(read_json(args.sweep, RESULT_FORMATS), args.sweep)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     grid = merge_ptri(ptri(sr, m, args.metric, args.selection, args.baseline) for m in methods)
     _write_result(args, ptri_to_doc(grid, args.metric, args.selection, args.baseline),
@@ -176,27 +183,24 @@ def cmd_variability(args) -> int:
 def cmd_resources(args) -> int:
     feature_counts = _parse_int_list(args.features)
     reps = _parse_int_list(args.reps)
-    rows = verification_table(feature_counts, reps, verify=args.verify)
+    rows = verification_table(feature_counts, reps)
     widths = [max(len(str(h)), 10) for h in TABLE_HEADER]
     print("  ".join(h.ljust(w) for h, w in zip(TABLE_HEADER, widths)))
     for row in rows:
-        print("  ".join(str("" if v is None else v).ljust(w) for v, w in zip(row, widths)))
+        print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TABLE_HEADER)
-            writer.writerows(rows)
+        write_csv(args.out, TABLE_HEADER, rows)
         _write_manifest(args, [], [args.out])
-    if args.verify and not all(row[-1] for row in rows):
+    if not all(row[-1] for row in rows):
         raise CliError("formula/circuit mismatch in resource verification")
     return 0
 
 
 def cmd_report(args) -> int:
-    doc = read_json(args.input)
-    write_table(doc, args.out)
+    doc = read_json(args.input, RESULT_FORMATS)
+    header, rows = result_table_rows(doc, args.input)
+    write_csv(args.out, header, rows)
     _write_manifest(args, [args.input], [args.out])
-    header, rows = result_table_rows(doc)
     print(f"kind={doc.get('format')} columns={len(header)} rows={len(rows)}")
     return 0
 
@@ -209,10 +213,7 @@ def cmd_replay(args) -> int:
             raise CliError(f"{args.manifest}: malformed manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise CliError(f"{args.manifest}: malformed manifest: not a JSON object")
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise CliError(f"{args.manifest}: not a {MANIFEST_FORMAT} file")
-    if str(manifest.get("version", "")).split(".")[0] != MANIFEST_VERSION.split(".")[0]:
-        raise CliError(f"{args.manifest}: unsupported manifest version {manifest.get('version')}")
+    check_format(manifest, {MANIFEST_FORMAT: MANIFEST_VERSION}, args.manifest)
     if manifest.get("tool_version") != __version__:
         raise CliError(f"{args.manifest}: written by qkslab {manifest.get('tool_version')}, "
                        f"this is qkslab {__version__}")
@@ -275,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gold", help="gold CSV: Date, Price")
     s.add_argument("--synthetic", type=int, default=None, metavar="SEED",
                    help="generate a deterministic synthetic dataset instead of reading CSVs")
-    s.add_argument("--days", type=int, default=460)
+    s.add_argument("--days", type=int, default=None,
+                   help=f"days of synthetic data (default {DEFAULT_DAYS}); --synthetic only")
     s.add_argument("--columns", default=None, help="comma list of feature columns")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_ingest)
@@ -335,10 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--table", default=None)
     s.set_defaults(func=cmd_variability)
 
-    s = subs.add_parser("resources", help="closed-form gate counts, optionally checked against circuits")
+    s = subs.add_parser("resources", help="closed-form gate counts, checked against built circuits")
     s.add_argument("--features", default="2,3,4,5,6,7")
     s.add_argument("--reps", default="1,2,3")
-    s.add_argument("--verify", action="store_true", help="tally built circuits and compare")
     s.add_argument("--out", default=None, help="also write the table as CSV")
     s.set_defaults(func=cmd_resources)
 

@@ -12,18 +12,22 @@ walk with a correlated gold series (``synthetic_raw_series``), and a
 labeling built from a quantum-kernel anchor machine on the first five
 features (``quantum_separable_dataset``) whose classes look unstructured
 to a Euclidean-distance kernel.
+
+A dataset file is a ``qkslab-dataset`` document (see ``documents``): the
+feature names and one id/date/features/label record per row; it never holds
+scaling, which each subset fits on its own training split.
 """
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from math import pi
 
 import numpy as np
 
+from .documents import fields, read_json, write_json
 from .feature_maps import FeatureMapSpec
 from .kernels import KernelConfig, gram_matrix
 from .seeding import mix64
@@ -56,8 +60,6 @@ _DATE_FORMATS = ("%m/%d/%Y", "%Y-%m-%d", "%b %d, %Y")
 
 
 def _parse_date(token: str, where: str) -> date:
-    from datetime import datetime
-
     token = token.strip().strip('"')
     for fmt in _DATE_FORMATS:
         try:
@@ -174,7 +176,6 @@ class Dataset:
     dates: tuple[date, ...]
     X: np.ndarray
     y: np.ndarray
-    scaling: ScaleParams | None = None
 
     def __post_init__(self) -> None:
         n = len(self.ids)
@@ -191,6 +192,7 @@ class Dataset:
 
 DEFAULT_FEATURES = ("open", "high", "low", "volume", "index_change_lag1",
                     "gold_price", "gold_change")
+DEFAULT_DAYS = 460  # length of a synthetic series
 
 # Unlagged close-derived columns determine the label; selecting them leaks it.
 _LEAKY_COLUMNS = ("price", "index_change")
@@ -276,12 +278,10 @@ def apply_scale(x: np.ndarray, params: ScaleParams) -> np.ndarray:
 
 
 def scale_split(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
-    """Fit on the training split, apply to both; records the fit parameters."""
+    """Fit on the training split, apply to both."""
     params = fit_scale(train.X)
-    return (
-        replace(train, X=apply_scale(train.X, params), scaling=params),
-        replace(test, X=apply_scale(test.X, params), scaling=params),
-    )
+    return (replace(train, X=apply_scale(train.X, params)),
+            replace(test, X=apply_scale(test.X, params)))
 
 
 # --- subset sampling -----------------------------------------------------------
@@ -360,7 +360,8 @@ def _weekdays(start: date, count: int) -> list[date]:
     return out
 
 
-def synthetic_raw_series(seed: int, days: int = 460, start: date = date(2018, 1, 2)) -> RawSeries:
+def synthetic_raw_series(seed: int, days: int = DEFAULT_DAYS,
+                         start: date = date(2018, 1, 2)) -> RawSeries:
     """Geometric random-walk index with a correlated gold series."""
     if days < 2:
         raise ValueError("need at least two days")
@@ -387,7 +388,7 @@ def synthetic_raw_series(seed: int, days: int = 460, start: date = date(2018, 1,
     })
 
 
-def write_synthetic_csvs(index_path, gold_path, seed: int, days: int = 460) -> None:
+def write_synthetic_csvs(index_path, gold_path, seed: int, days: int = DEFAULT_DAYS) -> None:
     """Emit the generator's series in the documented CSV schemas.
 
     The index file uses thousands separators, K/M volume suffixes, and
@@ -429,7 +430,7 @@ def write_synthetic_csvs(index_path, gold_path, seed: int, days: int = 460) -> N
             writer.writerow([d.strftime("%m/%d/%Y"), f"{price:.2f}"])
 
 
-def synthetic_dataset(seed: int, days: int = 460,
+def synthetic_dataset(seed: int, days: int = DEFAULT_DAYS,
                       feature_columns: tuple[str, ...] = DEFAULT_FEATURES) -> Dataset:
     """Labeled dataset straight from the synthetic series."""
     return label_direction(synthetic_raw_series(seed, days), feature_columns=feature_columns)
@@ -485,45 +486,27 @@ DATASET_VERSION = "1.0"
 
 
 def write_dataset(ds: Dataset, path) -> None:
-    doc = {
+    write_json({
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "feature_names": list(ds.feature_names),
-        "scaling": None if ds.scaling is None else {
-            "mins": ds.scaling.mins.tolist(), "maxs": ds.scaling.maxs.tolist(),
-        },
         "rows": [
             {"id": ds.ids[i], "date": ds.dates[i].isoformat(),
              "features": ds.X[i].tolist(), "label": int(ds.y[i])}
             for i in range(len(ds))
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path}: not a {DATASET_FORMAT} file")
-    if str(doc.get("version", "")).split(".")[0] != DATASET_VERSION.split(".")[0]:
-        raise ValueError(f"{path}: unsupported format version {doc.get('version')}")
-    try:
+    """Read a dataset file; the ``scaling`` key of older files is ignored."""
+    doc = read_json(path, {DATASET_FORMAT: DATASET_VERSION})
+    with fields(path):
         rows = doc["rows"]
-        scaling = None
-        if doc.get("scaling"):
-            scaling = ScaleParams(np.array(doc["scaling"]["mins"]),
-                                  np.array(doc["scaling"]["maxs"]))
         return Dataset(
             tuple(doc["feature_names"]),
             tuple(r["id"] for r in rows),
             tuple(date.fromisoformat(r["date"]) for r in rows),
             np.array([r["features"] for r in rows], dtype=np.float64),
             np.array([r["label"] for r in rows], dtype=np.int64),
-            scaling,
         )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed {DATASET_FORMAT} file: "
-                         f"missing or mistyped field ({exc!r})") from None

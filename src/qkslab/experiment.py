@@ -8,16 +8,15 @@ which makes the whole sweep a pure function of its arguments.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, SubsetSpec, sample_subset, scale_split
-from .kernels import KernelConfig, gram_pair, resolve_gamma
+from .documents import check_format, fields, write_csv
+from .kernels import KernelConfig, config_to_doc, gram_pair, resolve_gamma
 from .metrics import balanced_accuracy, confusion, f1
 from .seeding import mix64
 from .svm import predict, train
@@ -294,17 +293,7 @@ SWEEP_FORMAT = "qkslab-sweep"
 PTRI_FORMAT = "qkslab-ptri"
 VARIABILITY_FORMAT = "qkslab-variability"
 RESULT_VERSION = "1.0"
-
-
-def _kernel_config_doc(config: KernelConfig) -> dict:
-    doc = {"name": config.name, "kind": config.kind, "mode": config.mode,
-           "shots": config.shots, "master_seed": config.master_seed}
-    if config.kind == "quantum":
-        doc["pauli_layers"] = list(config.feature_map.pauli_layers)
-        doc["repetitions"] = config.feature_map.repetitions
-    else:
-        doc["gamma"] = config.gamma
-    return doc
+RESULT_FORMATS = dict.fromkeys((SWEEP_FORMAT, PTRI_FORMAT, VARIABILITY_FORMAT), RESULT_VERSION)
 
 
 def _record_doc(r: TrialRecord) -> dict:
@@ -328,33 +317,23 @@ def sweep_to_doc(sr: SweepResult) -> dict:
         "master_seed": sr.master_seed, "trials": sr.trials, "split_ratio": sr.split_ratio,
         "svm": {"C": sr.svm_c, "tol": sr.svm_tol},
         "configs": [[c.features, c.size] for c in sr.configs],
-        "kernels": [_kernel_config_doc(sr.kernel_configs[name]) for name in sr.kernel_names]
+        "kernels": [config_to_doc(sr.kernel_configs[name]) for name in sr.kernel_names]
         if sr.kernel_configs else [{"name": n} for n in sr.kernel_names],
         "cells": cells,
     }
 
 
-def _result_format(doc, formats: tuple[str, ...]) -> str:
-    """The ``format`` of a result document, which must be one of ``formats``
-    with the major version of RESULT_VERSION."""
-    kind = doc.get("format") if isinstance(doc, dict) else None
-    if kind not in formats:
-        raise ValueError(f"not a {' or '.join(formats)} document")
-    if str(doc.get("version", "")).split(".")[0] != RESULT_VERSION.split(".")[0]:
-        raise ValueError(f"unsupported format version {doc.get('version')}")
-    return kind
-
-
-def sweep_from_doc(doc: dict) -> SweepResult:
-    _result_format(doc, (SWEEP_FORMAT,))
-    try:
+def sweep_from_doc(doc: dict, where="document") -> SweepResult:
+    """The sweep in a ``qkslab-sweep`` document; ``where`` names it in errors."""
+    check_format(doc, {SWEEP_FORMAT: RESULT_VERSION}, where)
+    with fields(where):
         cells: dict[tuple[int, int, str], list[TrialRecord]] = {}
         names = [k["name"] for k in doc["kernels"]]
         for cell in doc["cells"]:
             key = (cell["features"], cell["size"], cell["kernel"])
             if len(cell["records"]) != doc["trials"] or not cell["records"]:
-                raise ValueError(f"malformed {SWEEP_FORMAT} document: cell {key} holds "
-                                 f"{len(cell['records'])} records for {doc['trials']} trials")
+                raise ValueError(f"cell {key} holds {len(cell['records'])} records "
+                                 f"for {doc['trials']} trials")
             if cell["kernel"] not in names:
                 names.append(cell["kernel"])
             cells[key] = [TrialRecord(r["trial"], r["trial_seed"], r["balanced_accuracy"],
@@ -363,12 +342,9 @@ def sweep_from_doc(doc: dict) -> SweepResult:
         missing = [(c.features, c.size, k) for c in configs for k in names
                    if (c.features, c.size, k) not in cells]
         if missing:
-            raise ValueError(f"malformed {SWEEP_FORMAT} document: no cells for {missing}")
+            raise ValueError(f"no cells for {missing}")
         return SweepResult(configs, tuple(names), doc["trials"], doc["master_seed"],
                            doc["split_ratio"], doc["svm"]["C"], doc["svm"]["tol"], cells)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed {SWEEP_FORMAT} document: missing or mistyped field "
-                         f"({exc!r})") from None
 
 
 def ptri_to_doc(grid: PTRIGrid, metric: str, trial_selection: str, baseline: str | None) -> dict:
@@ -394,21 +370,10 @@ def variability_to_doc(vr: VariabilityResult) -> dict:
     }
 
 
-def write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def read_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def result_table_rows(doc: dict) -> tuple[list[str], list[list]]:
+def result_table_rows(doc: dict, where="document") -> tuple[list[str], list[list]]:
     """Flatten any result document into plot-ready tabular rows."""
-    kind = _result_format(doc, (SWEEP_FORMAT, PTRI_FORMAT, VARIABILITY_FORMAT))
-    try:
+    kind = check_format(doc, RESULT_FORMATS, where)
+    with fields(where):
         if kind == SWEEP_FORMAT:
             header = ["features", "size", "kernel", "trial", "trial_seed", "balanced_accuracy",
                       "f1"]
@@ -427,15 +392,8 @@ def result_table_rows(doc: dict) -> tuple[list[str], list[list]]:
             header = ["trial", "trial_seed", "balanced_accuracy", "f1"]
             rows = [[r["trial"], r["trial_seed"], repr(r["balanced_accuracy"]), repr(r["f1"])]
                     for r in doc["records"]]
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise ValueError(f"malformed {kind} document: missing or mistyped field "
-                         f"({exc!r})") from None
     return header, rows
 
 
 def write_table(doc: dict, path) -> None:
-    header, rows = result_table_rows(doc)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(path, *result_table_rows(doc))

@@ -9,6 +9,9 @@ oracle for both.  Shots-mode entry seeds are mix64(master_seed, i, j) for
 train entry i <= j (mirrored) and mix64(master_seed, _CROSS, i, j) for cross
 entry (test i, train j), so Gram assembly is independent of evaluation order
 and parallelism.
+
+A Gram file is a ``qkslab-gram`` document (see ``documents``) holding the
+kernel (``config_to_doc``), the map's feature count, ids and exact values.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import adjoint, compose
+from .documents import fields, read_json, write_json
 from .feature_maps import FeatureMapSpec, build_feature_map, preset_of
 from .seeding import mix64
 from .simulator import sample_zero_count, simulate, zero_probability
@@ -264,76 +268,41 @@ def psd_clip(gram: GramMatrix) -> GramMatrix:
 # --- gram file format -------------------------------------------------------
 
 GRAM_FORMAT = "qkslab-gram"
-GRAM_VERSION = "1.0"
+GRAM_VERSION = "2.0"
+
+
+def config_to_doc(config: KernelConfig) -> dict:
+    """The kernel fields a sweep or Gram file records; feature counts are the file's own."""
+    doc = {"name": config.name, "kind": config.kind, "mode": config.mode,
+           "shots": config.shots, "master_seed": config.master_seed}
+    if config.kind == "quantum":
+        doc["pauli_layers"] = list(config.feature_map.pauli_layers)
+        doc["repetitions"] = config.feature_map.repetitions
+    else:
+        doc["gamma"] = config.gamma
+    return doc
 
 
 def write_gram(gram: GramMatrix, path) -> None:
-    """Write the line-oriented gram file; values carry 17 significant digits."""
-    cfg = gram.config
-    lines = [f"{GRAM_FORMAT} {GRAM_VERSION}", f"kind {cfg.kind}"]
-    if cfg.kind == "quantum":
-        fm = cfg.feature_map
-        lines.append(f"pauli_layers {','.join(fm.pauli_layers)}")
-        lines.append(f"features {fm.num_features}")
-        lines.append(f"repetitions {fm.repetitions}")
-        lines.append(f"entanglement {fm.entanglement}")
-    else:
-        lines.append(f"gamma {cfg.gamma:.17g}")
-    lines.append(f"mode {cfg.mode}")
-    if cfg.shots is not None:
-        lines.append(f"shots {cfg.shots}")
-    lines.append(f"master_seed {cfg.master_seed}")
-    lines.append(f"symmetric {int(gram.symmetric)}")
-    lines.append(f"rows {len(gram.row_ids)}")
-    lines.append(f"cols {len(gram.col_ids)}")
-    lines.append("row_ids " + " ".join(gram.row_ids))
-    lines.append("col_ids " + " ".join(gram.col_ids))
-    lines.append("values")
-    for row in gram.values:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fm = gram.config.feature_map
+    write_json({
+        "format": GRAM_FORMAT, "version": GRAM_VERSION,
+        "kernel": config_to_doc(gram.config),
+        "features": None if fm is None else fm.num_features,
+        "symmetric": gram.symmetric,
+        "row_ids": list(gram.row_ids), "col_ids": list(gram.col_ids),
+        "values": gram.values.tolist(),
+    }, path)
 
 
 def read_gram(path) -> GramMatrix:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty gram file")
-    magic = lines[0].split()
-    if len(magic) != 2 or magic[0] != GRAM_FORMAT:
-        raise ValueError(f"{path}: not a {GRAM_FORMAT} file")
-    if magic[1].split(".")[0] != GRAM_VERSION.split(".")[0]:
-        raise ValueError(f"{path}: unsupported format version {magic[1]}")
-    fields: dict[str, str] = {}
-    idx = 1
-    while idx < len(lines) and lines[idx] != "values":
-        key, _, value = lines[idx].partition(" ")
-        fields[key] = value
-        idx += 1
-    if idx == len(lines):
-        raise ValueError(f"{path}: missing values section")
-    n, m = int(fields["rows"]), int(fields["cols"])
-    values = np.array(
-        [[float(tok) for tok in lines[idx + 1 + i].split()] for i in range(n)],
-        dtype=np.float64,
-    )
-    if values.shape != (n, m):
-        raise ValueError(f"{path}: value block shape {values.shape} != ({n}, {m})")
-    shots = int(fields["shots"]) if "shots" in fields else None
-    if fields["kind"] == "quantum":
-        spec = FeatureMapSpec(
-            tuple(fields["pauli_layers"].split(",")),
-            int(fields["features"]),
-            int(fields["repetitions"]),
-            fields.get("entanglement", "linear"),
-        )
-        config = KernelConfig("quantum", fields["mode"], spec, None, shots,
-                              int(fields["master_seed"]),
-                              allow_overshoot=shots is not None and shots > SHOT_CAP)
-    else:
-        config = KernelConfig("rbf", fields["mode"], None, float(fields["gamma"]), shots,
-                              int(fields["master_seed"]))
-    row_ids = tuple(fields["row_ids"].split()) if fields["row_ids"] else ()
-    col_ids = tuple(fields["col_ids"].split()) if fields["col_ids"] else ()
-    return GramMatrix(values, row_ids, col_ids, config, bool(int(fields["symmetric"])))
+    doc = read_json(path, {GRAM_FORMAT: GRAM_VERSION})
+    with fields(path):
+        k = doc["kernel"]
+        spec = (FeatureMapSpec(k["pauli_layers"], doc["features"], k["repetitions"])
+                if k["kind"] == "quantum" else None)
+        config = KernelConfig(k["kind"], k["mode"], spec, k.get("gamma"), k["shots"],
+                              k["master_seed"], k["name"],
+                              k["shots"] is not None and k["shots"] > SHOT_CAP)
+        return GramMatrix(np.array(doc["values"], dtype=np.float64), tuple(doc["row_ids"]),
+                          tuple(doc["col_ids"]), config, bool(doc["symmetric"]))

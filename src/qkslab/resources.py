@@ -91,17 +91,13 @@ TABLE_HEADER = ("features", "repetitions", "qubits", "h", "rx", "p", "cx",
                 "total", "depth", "dag_depth", "match")
 
 
-def verification_table(feature_counts, repetition_counts, verify: bool = True) -> list[tuple]:
+def verification_table(feature_counts, repetition_counts) -> list[tuple]:
     """One row per (F, R): the formula values plus the circuit-check verdict."""
     rows = []
     for f in feature_counts:
         for r in repetition_counts:
-            est = estimate(f, r)
-            if verify:
-                report = verify_against_circuit(f, r)
-                rows.append((f, r, est.qubits, est.h, est.rx, est.p, est.cx,
-                             est.total, est.depth, report.dag_depth, report.match))
-            else:
-                rows.append((f, r, est.qubits, est.h, est.rx, est.p, est.cx,
-                             est.total, est.depth, None, None))
+            report = verify_against_circuit(f, r)
+            est = report.formula
+            rows.append((f, r, est.qubits, est.h, est.rx, est.p, est.cx,
+                         est.total, est.depth, report.dag_depth, report.match))
     return rows

@@ -55,6 +55,29 @@ def test_ingest_from_csvs_and_missing_file(tmp_path, capsys):
     assert "file not found" in err
 
 
+def test_ingest_synthetic_keeps_the_requested_columns(tmp_path, capsys):
+    out_path = tmp_path / "ds.json"
+    code, out, err = _run(["ingest", "--synthetic", "3", "--days", "60", "--columns", "open,high",
+                           "--out", str(out_path)], capsys)
+    assert code == 0, err
+    assert "features=2" in out
+    assert json.loads(out_path.read_text())["feature_names"] == ["open", "high"]
+
+
+@pytest.mark.parametrize("extra", [["--synthetic", "3"], ["--days", "60"]],
+                         ids=["synthetic-with-csvs", "days-with-csvs"])
+def test_ingest_rejects_options_it_would_ignore(tmp_path, capsys, extra):
+    from qkslab.data import write_synthetic_csvs
+
+    write_synthetic_csvs(tmp_path / "i.csv", tmp_path / "g.csv", 5, days=60)
+    out_path = tmp_path / "ds.json"
+    code, _, err = _run(["ingest", "--index", str(tmp_path / "i.csv"), "--gold",
+                         str(tmp_path / "g.csv"), *extra, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out_path.exists()
+
+
 def test_kernel_exact_diagonal(dataset, tmp_path, capsys):
     out = tmp_path / "train.gram"
     code, text, _ = _run(["kernel", "--dataset", str(dataset), "--map", "yyy",
@@ -194,14 +217,14 @@ def test_variability_command(dataset, tmp_path, capsys):
 
 
 def test_resources_command(tmp_path, capsys):
-    code, out, err = _run(["resources", "--features", "4", "--reps", "1", "--verify"], capsys)
+    code, out, err = _run(["resources", "--features", "4", "--reps", "1"], capsys)
     assert code == 0, err
     row = [ln for ln in out.splitlines() if ln.startswith("4")][0]
     assert "37" in row and "19" in row and "True" in row
 
 
 def test_resources_verify_without_features_is_an_error(capsys):
-    code, _, err = _run(["resources", "--features", ",", "--verify"], capsys)
+    code, _, err = _run(["resources", "--features", ","], capsys)
     assert code == 1
     assert err.startswith("error: ")
 
@@ -230,22 +253,28 @@ _SWEEP_DOC = {"format": "qkslab-sweep", "version": "1.0", "master_seed": 0, "tri
     ("ptri", _SWEEP_DOC),
     ("ptri", {**_SWEEP_DOC, "cells": []}),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0", "x1"]}),
+    ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"],
+               "rows": [{"id": "r1", "date": "2018-13-01", "features": [0.5], "label": 1}]}),
     ("report", []),
     ("ptri", []),
     ("sweep", []),
+    ("sweep", "not json"),
+    ("ptri", "not json"),
+    ("report", "not json"),
 ], ids=["sweep-without-kernels", "cell-without-records", "sweep-without-cells",
-        "dataset-without-rows",
-        "report-list", "ptri-list", "sweep-list"])
+        "dataset-without-rows", "dataset-bad-date",
+        "report-list", "ptri-list", "sweep-list",
+        "sweep-not-json", "ptri-not-json", "report-not-json"])
 def test_malformed_input_files_are_errors(tmp_path, capsys, command, doc):
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = {"ptri": ["ptri", "--sweep", str(path), "--methods", "rbf"],
             "report": ["report", "--input", str(path)],
             "sweep": ["sweep", "--dataset", str(path), "--sizes", "30", "--features", "2",
                       "--kernels", "rbf", "--trials", "1"]}[command]
     code, _, err = _run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert code == 1
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {path}: ") or err.startswith(f"error: malformed {path}: ")
 
 
 def test_ingest_csv_field_over_the_csv_limit_is_an_error(tmp_path, capsys):
@@ -270,7 +299,7 @@ _COMMAND_LINES = {
             "--out {d}/out.json --table {d}/out.csv",
     "variability": "variability --dataset {d}/ds.json --size 30 --features 2 --trials 3 "
                    "--out {d}/out.json --table {d}/out.csv",
-    "resources": "resources --features 2,3 --reps 1 --verify --out {d}/out.csv",
+    "resources": "resources --features 2,3 --reps 1 --out {d}/out.csv",
     "report": "report --input {d}/sweep.json --out {d}/out.csv",
 }
 

@@ -181,9 +181,7 @@ def test_scaling_never_sees_the_test_split():
     ds = synthetic_dataset(1, days=80)
     train, test = sample_subset(ds, SubsetSpec(60, 4, 99))
     strain, stest = scale_split(train, test)
-    refit = fit_scale(train.X)
-    np.testing.assert_array_equal(strain.scaling.mins, refit.mins)
-    np.testing.assert_array_equal(strain.scaling.maxs, refit.maxs)
+    np.testing.assert_array_equal(stest.X, apply_scale(test.X, fit_scale(train.X)))
     assert strain.X.min() >= 0.0 and strain.X.max() <= pi
     assert stest.X.min() >= 0.0 and stest.X.max() <= pi  # clamped
     assert strain.X.max() == pytest.approx(pi)
@@ -293,7 +291,19 @@ def test_dataset_file_round_trip(tmp_path):
     assert back.feature_names == strain.feature_names
     np.testing.assert_array_equal(back.X, strain.X)  # value-exact
     np.testing.assert_array_equal(back.y, strain.y)
-    np.testing.assert_array_equal(back.scaling.mins, strain.scaling.mins)
+
+
+def test_dataset_file_with_a_scaling_key_still_reads(tmp_path):
+    # Files written before the scaling field was dropped carry "scaling": null.
+    path = tmp_path / "old.json"
+    path.write_text('{"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"], '
+                    '"scaling": null, "rows": [{"id": "r0001", "date": "2018-01-03", '
+                    '"features": [0.5], "label": 1}, {"id": "r0002", "date": "2018-01-04", '
+                    '"features": [1.5], "label": -1}]}')
+    ds = read_dataset(path)
+    assert ds.ids == ("r0001", "r0002")
+    np.testing.assert_array_equal(ds.X, [[0.5], [1.5]])
+    np.testing.assert_array_equal(ds.y, [1, -1])
 
 
 def test_dataset_file_rejects_other_formats(tmp_path):

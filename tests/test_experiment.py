@@ -9,8 +9,8 @@ from qkslab.experiment import (ConfigPoint, SweepResult, TrialRecord,
                                eqa_difference, mean_std, merge_ptri, ptri, ptri_scores,
                                ptri_to_doc, result_table_rows, run_sweep,
                                select_reference_trials, sweep_from_doc, sweep_to_doc,
-                               variability_study, variability_to_doc, write_json, read_json,
-                               write_table)
+                               variability_study, variability_to_doc, write_table)
+from qkslab.documents import read_json, write_json
 from qkslab.kernels import quantum_config, rbf_config
 
 
@@ -195,7 +195,7 @@ def test_sweep_doc_round_trip_and_aggregate_consistency(tmp_path):
     doc = sweep_to_doc(sr)
     path = tmp_path / "sweep.json"
     write_json(doc, path)
-    loaded = read_json(path)
+    loaded = read_json(path, {"qkslab-sweep": "1.0"})
     assert loaded == doc
     back = sweep_from_doc(loaded)
     assert back.configs == sr.configs

@@ -226,6 +226,6 @@ def test_gram_file_round_trip(tmp_path):
 
 def test_gram_file_rejects_wrong_version(tmp_path):
     path = tmp_path / "bad.gram"
-    path.write_text("qkslab-gram 2.0\nkind rbf\n")
+    path.write_text('{"format": "qkslab-gram", "version": "9.0"}')
     with pytest.raises(ValueError, match="version"):
         read_gram(path)

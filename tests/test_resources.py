@@ -74,5 +74,3 @@ def test_table_rows():
     assert len(rows) == 4
     assert len(rows[0]) == len(TABLE_HEADER)
     assert all(row[-1] for row in rows)  # every point verifies
-    unverified = verification_table([3], [1], verify=False)
-    assert unverified[0][-1] is None
