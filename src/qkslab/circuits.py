@@ -56,9 +56,9 @@ def cx(control: int, target: int) -> Gate:
 class Circuit:
     """Ordered gate list on a fixed qubit register.
 
-    The IR carries no depth: ``dag_depth`` measures the gate list, and the
-    sequential block depth of a feature map comes from its layer table
-    (``feature_maps.sequential_depth``).
+    The IR carries no depth: ``dag_depth`` measures a gate list, and the
+    sequential block depth of a feature map is the sum of the ``dag_depth``
+    of its builder's blocks (``feature_maps.sequential_depth``).
     """
 
     num_qubits: int

@@ -28,8 +28,7 @@ from math import pi
 import numpy as np
 
 from .documents import fields, read_json, write_json
-from .feature_maps import FeatureMapSpec
-from .kernels import KernelConfig, gram_matrix
+from .kernels import gram_matrix, quantum_config
 from .seeding import mix64
 
 
@@ -457,8 +456,7 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
     base = rng.uniform(0.0, pi, size=(pool, informative))
     anchor_x = rng.uniform(0.0, pi, size=(anchors, informative))
     coeff = np.where(np.arange(anchors) % 2 == 0, 1.0, -1.0)
-    spec = FeatureMapSpec(("Y", "YY"), informative, repetitions)
-    score = gram_matrix(base, anchor_x, KernelConfig("quantum", "exact", spec)).values @ coeff
+    score = gram_matrix(base, anchor_x, quantum_config("yyy", informative, repetitions)).values @ coeff
     margin = score - np.median(score)
     pos_idx = np.flatnonzero(margin > 0)
     neg_idx = np.flatnonzero(margin <= 0)

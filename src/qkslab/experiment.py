@@ -47,14 +47,17 @@ class TrialRecord:
 @dataclass(eq=False)
 class SweepResult:
     configs: tuple[ConfigPoint, ...]
-    kernel_names: tuple[str, ...]
+    kernels: dict[str, dict]  # each kernel's ``config_to_doc`` description, by name
     trials: int
     master_seed: int
     split_ratio: float
     svm_c: float
     svm_tol: float
     cells: dict[tuple[int, int, str], list[TrialRecord]]
-    kernel_configs: dict[str, KernelConfig] | None = None
+
+    @property
+    def kernel_names(self) -> tuple[str, ...]:
+        return tuple(self.kernels)
 
     def records(self, config: ConfigPoint, kernel: str) -> list[TrialRecord]:
         return self.cells[(config.features, config.size, kernel)]
@@ -130,8 +133,8 @@ def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
             for name, (ba, f1_score) in scores.items():
                 cells[(cfg.features, cfg.size, name)].append(
                     TrialRecord(t, trial_seed, ba, f1_score, fingerprint))
-    return SweepResult(configs, tuple(kernel_map), trials, master_seed, split_ratio,
-                       svm_c, svm_tol, cells, kernel_map)
+    return SweepResult(configs, {name: config_to_doc(k) for name, k in kernel_map.items()},
+                       trials, master_seed, split_ratio, svm_c, svm_tol, cells)
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,7 @@ def ptri(sr: SweepResult, method: str, metric: str = "balanced_accuracy",
 
     ``trial_selection="all"`` averages every trial per cell;
     ``"reference"`` averages the two trials where the baseline (default:
-    the method itself) was closest to its min and max.
+    the method itself; refused with ``"all"``) was closest to its min and max.
     """
     if method not in sr.kernel_names:
         raise ValueError(f"kernel {method!r} not present in the sweep")
@@ -225,6 +228,8 @@ def ptri(sr: SweepResult, method: str, metric: str = "balanced_accuracy",
         refs = select_reference_trials(sr, baseline or method)
     elif trial_selection != "all":
         raise ValueError(f"unknown trial_selection {trial_selection!r}")
+    elif baseline is not None:
+        raise ValueError("a baseline applies only to trial_selection 'reference' (--selection reference)")
 
     z = np.zeros((len(feature_axis), len(size_axis)))
     for fi, f in enumerate(feature_axis):
@@ -317,8 +322,7 @@ def sweep_to_doc(sr: SweepResult) -> dict:
         "master_seed": sr.master_seed, "trials": sr.trials, "split_ratio": sr.split_ratio,
         "svm": {"C": sr.svm_c, "tol": sr.svm_tol},
         "configs": [[c.features, c.size] for c in sr.configs],
-        "kernels": [config_to_doc(sr.kernel_configs[name]) for name in sr.kernel_names]
-        if sr.kernel_configs else [{"name": n} for n in sr.kernel_names],
+        "kernels": list(sr.kernels.values()),
         "cells": cells,
     }
 
@@ -328,22 +332,24 @@ def sweep_from_doc(doc: dict, where="document") -> SweepResult:
     check_format(doc, {SWEEP_FORMAT: RESULT_VERSION}, where)
     with fields(where):
         cells: dict[tuple[int, int, str], list[TrialRecord]] = {}
-        names = [k["name"] for k in doc["kernels"]]
+        kernels = {k["name"]: k for k in doc["kernels"]}
+        if len(kernels) != len(doc["kernels"]):
+            raise ValueError("kernel names must be unique")
         for cell in doc["cells"]:
             key = (cell["features"], cell["size"], cell["kernel"])
             if len(cell["records"]) != doc["trials"] or not cell["records"]:
                 raise ValueError(f"cell {key} holds {len(cell['records'])} records "
                                  f"for {doc['trials']} trials")
-            if cell["kernel"] not in names:
-                names.append(cell["kernel"])
+            if cell["kernel"] not in kernels:
+                raise ValueError(f"cell {key} names a kernel the sweep does not list")
             cells[key] = [TrialRecord(r["trial"], r["trial_seed"], r["balanced_accuracy"],
                                       r["f1"], r["fingerprint"]) for r in cell["records"]]
         configs = tuple(ConfigPoint(f, n) for f, n in doc["configs"])
-        missing = [(c.features, c.size, k) for c in configs for k in names
+        missing = [(c.features, c.size, k) for c in configs for k in kernels
                    if (c.features, c.size, k) not in cells]
         if missing:
             raise ValueError(f"no cells for {missing}")
-        return SweepResult(configs, tuple(names), doc["trials"], doc["master_seed"],
+        return SweepResult(configs, kernels, doc["trials"], doc["master_seed"],
                            doc["split_ratio"], doc["svm"]["C"], doc["svm"]["tol"], cells)
 
 

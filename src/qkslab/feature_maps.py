@@ -6,7 +6,8 @@ the builder emits Hadamards on every qubit, then each layer in order:
 single-qubit layers place a phase of 2*x[j] on each qubit, pair layers a
 phase of 2*(pi-x[j])*(pi-x[k]) on the target of a CX-conjugated block, for
 adjacent pairs (j, j+1) only.  Y-type layers wrap their phases in
-RX(+pi/2) / RX(-pi/2) basis changes.
+RX(+pi/2) / RX(-pi/2) basis changes.  The builder's blocks are the one
+description of this structure; depth is measured from them.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from math import pi
 
 import numpy as np
 
-from .circuits import Circuit, Gate, cx, h, p, rx
+from .circuits import Circuit, Gate, cx, dag_depth, h, p, rx
 
 PAULI_LAYERS = ("Z", "ZZ", "Y", "YY")
 
@@ -29,20 +30,11 @@ PRESETS: dict[str, tuple[str, ...]] = {
 }
 
 
-def preset_of(pauli_layers: tuple[str, ...]) -> str | None:
-    """Preset name whose layer list matches, if any."""
-    for name, layers in PRESETS.items():
-        if layers == tuple(pauli_layers):
-            return name
-    return None
-
-
 @dataclass(frozen=True)
 class FeatureMapSpec:
     pauli_layers: tuple[str, ...]
     num_features: int
     repetitions: int = 2
-    entanglement: str = "linear"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pauli_layers", tuple(self.pauli_layers))
@@ -57,8 +49,6 @@ class FeatureMapSpec:
             raise ValueError("num_features must be >= 1")
         if self.num_features < 2 and any(len(l) == 2 for l in self.pauli_layers):
             raise ValueError("two-qubit layers require num_features >= 2")
-        if self.entanglement != "linear":
-            raise ValueError("only linear entanglement is supported")
 
     @staticmethod
     def from_preset(name: str, num_features: int, repetitions: int = 2) -> "FeatureMapSpec":
@@ -87,17 +77,32 @@ def data_map_pair(x: np.ndarray, j: int, k: int) -> float:
     return 2.0 * (pi - float(x[j])) * (pi - float(x[k]))
 
 
-# Resource-model depth of each layer, with pair blocks run strictly one after
-# another: single-qubit layers count once, pair layers once per adjacent pair.
-LAYER_DEPTH = {"H": 1, "Z": 1, "Y": 3, "ZZ": 3, "YY": 5}
+def _blocks(spec: FeatureMapSpec, x: np.ndarray):
+    """The map's gate blocks in circuit order: per repetition the Hadamard
+    wall, each single-qubit layer whole, and each adjacent pair of a pair layer."""
+    n = spec.num_features
+    for _ in range(spec.repetitions):
+        yield [h(q) for q in range(n)]
+        for layer in spec.pauli_layers:
+            y_basis = layer in ("Y", "YY")
+            if len(layer) == 1:
+                block: list[Gate] = []
+                for q in range(n):
+                    phase = p(data_map_single(x, q), q)
+                    block.extend((rx(pi / 2, q), phase, rx(-pi / 2, q)) if y_basis else (phase,))
+                yield block
+            else:
+                for j in range(n - 1):
+                    k = j + 1
+                    into_y = [rx(pi / 2, j), rx(pi / 2, k)] if y_basis else []
+                    out_of_y = [rx(-pi / 2, j), rx(-pi / 2, k)] if y_basis else []
+                    yield [*into_y, cx(j, k), p(data_map_pair(x, j, k), k), cx(j, k), *out_of_y]
 
 
 def sequential_depth(spec: FeatureMapSpec) -> int:
-    """R * (1 + sum of single-layer depths + (F - 1) * sum of pair-layer depths)."""
-    per_rep = LAYER_DEPTH["H"] + sum(
-        LAYER_DEPTH[layer] * (1 if len(layer) == 1 else spec.num_features - 1)
-        for layer in spec.pauli_layers)
-    return spec.repetitions * per_rep
+    """Depth with the blocks run strictly one after another: the sum of their dag depths."""
+    n = spec.num_features
+    return sum(dag_depth(Circuit(n, tuple(block))) for block in _blocks(spec, np.zeros(n)))
 
 
 def build_feature_map(spec: FeatureMapSpec, x: np.ndarray) -> Circuit:
@@ -106,28 +111,4 @@ def build_feature_map(spec: FeatureMapSpec, x: np.ndarray) -> Circuit:
     n = spec.num_features
     if x.shape != (n,):
         raise ValueError(f"feature vector has shape {x.shape}, expected ({n},)")
-    gates: list[Gate] = []
-    for _ in range(spec.repetitions):
-        gates.extend(h(q) for q in range(n))
-        for layer in spec.pauli_layers:
-            y_basis = layer in ("Y", "YY")
-            if len(layer) == 1:
-                for q in range(n):
-                    if y_basis:
-                        gates.append(rx(pi / 2, q))
-                    gates.append(p(data_map_single(x, q), q))
-                    if y_basis:
-                        gates.append(rx(-pi / 2, q))
-            else:
-                for j in range(n - 1):
-                    k = j + 1
-                    if y_basis:
-                        gates.append(rx(pi / 2, j))
-                        gates.append(rx(pi / 2, k))
-                    gates.append(cx(j, k))
-                    gates.append(p(data_map_pair(x, j, k), k))
-                    gates.append(cx(j, k))
-                    if y_basis:
-                        gates.append(rx(-pi / 2, j))
-                        gates.append(rx(-pi / 2, k))
-    return Circuit(n, tuple(gates))
+    return Circuit(n, tuple(g for block in _blocks(spec, x) for g in block))

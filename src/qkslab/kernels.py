@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuits import adjoint, compose
 from .documents import fields, read_json, write_json
-from .feature_maps import FeatureMapSpec, build_feature_map, preset_of
+from .feature_maps import FeatureMapSpec, build_feature_map
 from .seeding import mix64
 from .simulator import sample_zero_count, simulate, zero_probability
 
@@ -66,8 +66,7 @@ class KernelConfig:
         elif self.shots is not None:
             raise ValueError("shots only apply in shots mode")
         if not self.name:
-            default = "rbf" if self.kind == "rbf" else (preset_of(self.feature_map.pauli_layers) or "quantum")
-            object.__setattr__(self, "name", default)
+            raise ValueError("kernel config needs a name")
 
 
 def quantum_config(preset: str, num_features: int, repetitions: int = 2, mode: str = "exact",

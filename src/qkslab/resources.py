@@ -6,10 +6,10 @@ For F features and R repetitions, the builder's gate tally obeys
     RX = (6F - 4) * R         CX    = (2F - 2) * R
     Total = (11F - 7) * R     Depth = (5F - 1) * R
 
-with the qubit count equal to F regardless of R.  Depth here is the
-sequential pair-block layer count of the feature-map layer table
-(``feature_maps.sequential_depth``); the dependency-graph depth, which may
-overlap disjoint pair blocks, is reported as a diagnostic only.
+with the qubit count equal to F regardless of R.  Every column is measured
+from a built circuit; depth runs the builder's blocks strictly one after
+another (``feature_maps.sequential_depth``).  The dependency-graph depth, which
+may overlap disjoint pair blocks, is reported as a diagnostic only.
 """
 from __future__ import annotations
 
@@ -42,10 +42,7 @@ class ResourceEstimate:
 
 def estimate(features: int, repetitions: int) -> ResourceEstimate:
     """Evaluate the closed forms at (features, repetitions)."""
-    if features < 2:
-        raise ValueError("the Y+YY map needs at least 2 features for its pair terms")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    FeatureMapSpec(("Y", "YY"), features, repetitions)  # the map's own argument checks
     f, r = features, repetitions
     return ResourceEstimate(
         features=f, repetitions=r,
@@ -55,7 +52,7 @@ def estimate(features: int, repetitions: int) -> ResourceEstimate:
 
 
 def measure(features: int, repetitions: int, x: np.ndarray | None = None) -> tuple[ResourceEstimate, int]:
-    """Tally a built Y+YY circuit, depth from the layer table; returns (estimate, dag depth)."""
+    """Tally a built Y+YY circuit, depth from its blocks; returns (estimate, dag depth)."""
     if x is None:
         x = np.zeros(features)
     spec = FeatureMapSpec(("Y", "YY"), features, repetitions)

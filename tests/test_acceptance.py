@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import pi, sqrt
 
 import numpy as np
+import pytest
 from qkslab.cli import main as cli_main
 from qkslab.data import quantum_separable_dataset, synthetic_dataset
 from qkslab.experiment import (ConfigPoint, eqa_difference, mean_std, ptri, ptri_scores,
@@ -183,6 +184,7 @@ def test_ptri_properties():
         np.testing.assert_allclose(ptri_scores(grid * scale), base * scale, atol=1e-10)
 
 
+@pytest.mark.slow
 @criterion(7, "end-to-end 15-point sweep: deterministic, paired, EQA-positive")
 def test_end_to_end_pipeline():
     start = time.perf_counter()

@@ -184,6 +184,18 @@ def test_ptri_without_methods_is_an_error(dataset, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_ptri_baseline_without_reference_selection_is_an_error(dataset, tmp_path, capsys):
+    sweep_path = tmp_path / "sweep.json"
+    assert _run(["sweep", "--dataset", str(dataset), "--sizes", "30", "--features", "2",
+                 "--kernels", "rbf", "--trials", "1", "--out", str(sweep_path)], capsys)[0] == 0
+    out = tmp_path / "p.json"
+    code, _, err = _run(["ptri", "--sweep", str(sweep_path), "--methods", "rbf",
+                         "--baseline", "rbf", "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "--selection reference" in err
+    assert not out.exists()
+
+
 def test_sweep_without_sizes_is_an_error(dataset, tmp_path, capsys):
     out = tmp_path / "sweep.json"
     code, _, err = _run(["sweep", "--dataset", str(dataset), "--sizes", ",", "--features", "2",
@@ -248,10 +260,18 @@ _SWEEP_DOC = {"format": "qkslab-sweep", "version": "1.0", "master_seed": 0, "tri
               "cells": [{"features": 2, "size": 30, "kernel": "rbf", "records": []}]}
 
 
+def _cell(kernel: str) -> dict:
+    return {"features": 2, "size": 30, "kernel": kernel,
+            "records": [{"trial": 0, "trial_seed": 1, "balanced_accuracy": 0.5, "f1": 0.5,
+                         "fingerprint": "x"}]}
+
+
 @pytest.mark.parametrize("command, doc", [
     ("ptri", {k: v for k, v in _SWEEP_DOC.items() if k != "kernels"}),
     ("ptri", _SWEEP_DOC),
     ("ptri", {**_SWEEP_DOC, "cells": []}),
+    ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf"), _cell("yyy")]}),
+    ("ptri", {**_SWEEP_DOC, "kernels": [{"name": "rbf"}] * 2, "cells": [_cell("rbf")]}),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0", "x1"]}),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"],
                "rows": [{"id": "r1", "date": "2018-13-01", "features": [0.5], "label": 1}]}),
@@ -262,6 +282,7 @@ _SWEEP_DOC = {"format": "qkslab-sweep", "version": "1.0", "master_seed": 0, "tri
     ("ptri", "not json"),
     ("report", "not json"),
 ], ids=["sweep-without-kernels", "cell-without-records", "sweep-without-cells",
+        "cell-of-unlisted-kernel", "kernel-listed-twice",
         "dataset-without-rows", "dataset-bad-date",
         "report-list", "ptri-list", "sweep-list",
         "sweep-not-json", "ptri-not-json", "report-not-json"])

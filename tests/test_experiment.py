@@ -20,8 +20,8 @@ def _fake_sweep(cell_bas: dict, trials: int = 1, kernels=("m",)) -> SweepResult:
     cells = {}
     for (f, n, k), bas in cell_bas.items():
         cells[(f, n, k)] = [TrialRecord(t, 1000 + t, ba, ba, "fp") for t, ba in enumerate(bas)]
-    return SweepResult(tuple(ConfigPoint(f, n) for f, n in configs), tuple(kernels),
-                       trials, 0, 0.7, 1.0, 1e-3, cells)
+    return SweepResult(tuple(ConfigPoint(f, n) for f, n in configs),
+                       {k: {"name": k} for k in kernels}, trials, 0, 0.7, 1.0, 1e-3, cells)
 
 
 # --- run_sweep ---
@@ -200,6 +200,7 @@ def test_sweep_doc_round_trip_and_aggregate_consistency(tmp_path):
     back = sweep_from_doc(loaded)
     assert back.configs == sr.configs
     assert back.kernel_names == sr.kernel_names
+    assert sweep_to_doc(back) == doc  # lossless, kernel descriptions included
     for cell in loaded["cells"]:
         bas = [r["balanced_accuracy"] for r in cell["records"]]
         mean, std = mean_std(bas)

@@ -73,6 +73,21 @@ def test_layer_table_depth_is_dag_depth_at_two_features(preset, reps):
     assert dag_depth(build_feature_map(spec, np.array([0.4, 1.9]))) == sequential_depth(spec)
 
 
+# Sequential depth of each layer: once per repetition for the H wall and
+# single-qubit layers, once per adjacent pair for pair layers.
+_LAYER_DEPTH = {"H": 1, "Z": 1, "Y": 3, "ZZ": 3, "YY": 5}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("features", range(2, 9))
+@pytest.mark.parametrize("reps", range(1, 4))
+def test_sequential_depth_per_layer_formula(preset, features, reps):
+    spec = FeatureMapSpec.from_preset(preset, features, reps)
+    per_rep = _LAYER_DEPTH["H"] + sum(
+        _LAYER_DEPTH[layer] * (1 if len(layer) == 1 else features - 1) for layer in PRESETS[preset])
+    assert sequential_depth(spec) == reps * per_rep
+
+
 @pytest.mark.parametrize("features", range(2, 11))
 @pytest.mark.parametrize("reps", range(1, 4))
 def test_yyy_count_formulas(features, reps):

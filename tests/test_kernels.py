@@ -206,6 +206,8 @@ def test_config_validation():
         KernelConfig("rbf", "shots", None, 1.0, 100)
     with pytest.raises(ValueError):
         KernelConfig("quantum", "exact")
+    with pytest.raises(ValueError):
+        KernelConfig("rbf", "exact", None, 1.0)  # unnamed
 
 
 def test_gram_file_round_trip(tmp_path):
