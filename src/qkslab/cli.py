@@ -21,7 +21,7 @@ from .data import (DEFAULT_DAYS, DEFAULT_FEATURES, ingest, label_direction, read
                    synthetic_dataset, sample_subset, scale_split, write_dataset, SubsetSpec)
 from .documents import check_format, read_json, write_csv, write_json
 from .experiment import (ConfigPoint, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES, ExperimentError,
-                         RESULT_FORMATS, merge_ptri, ptri, ptri_to_doc, result_table_rows,
+                         RESULT_FORMATS, ptri, ptri_to_doc, result_table_rows,
                          run_sweep, sweep_from_doc, sweep_to_doc, variability_study,
                          variability_to_doc, write_table)
 from .feature_maps import PRESETS
@@ -72,9 +72,8 @@ def _write_result(args, doc: dict, inputs: list) -> None:
 def _make_kernel(name: str, features: int, args):
     if name == "rbf":
         return rbf_config(gamma=args.gamma, master_seed=args.seed)
-    return quantum_config(name, features, args.reps, args.mode,
-                          args.shots if args.mode == "shots" else None, args.seed,
-                          args.allow_overshoot)
+    return quantum_config(name, features, args.reps, args.shots if args.mode == "shots" else None,
+                          args.seed, args.allow_overshoot)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -162,7 +161,7 @@ def cmd_sweep(args) -> int:
 def cmd_ptri(args) -> int:
     sr = sweep_from_doc(read_json(args.sweep, RESULT_FORMATS), args.sweep)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    grid = merge_ptri(ptri(sr, m, args.metric, args.selection, args.baseline) for m in methods)
+    grid = ptri(sr, methods, args.metric, args.selection, args.baseline)
     _write_result(args, ptri_to_doc(grid, args.metric, args.selection, args.baseline),
                   [args.sweep])
     for method in methods:

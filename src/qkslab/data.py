@@ -228,16 +228,16 @@ def derived_columns(series: RawSeries) -> tuple[dict[str, np.ndarray], dict[str,
     return cols, first
 
 
-def label_direction(series: RawSeries, close_column: str = "price",
+def label_direction(series: RawSeries,
                     feature_columns: tuple[str, ...] = DEFAULT_FEATURES) -> Dataset:
     """Label each row with the close direction from its predecessor.
 
-    Row t gets +1 when close_t > close_{t-1}, else -1 (ties included); the
+    Row t gets +1 when its close (``price``) exceeds row t-1's, else -1 (ties included); the
     first row has no predecessor and is dropped, as are any rows where a
     selected lagged column is not yet defined.
     """
-    if close_column not in series.columns:
-        raise ValueError(f"missing close column {close_column!r}")
+    if "price" not in series.columns:
+        raise ValueError("missing close column 'price'")
     if len(series) < 2:
         raise ValueError("need at least two rows to label direction")
     cols, first = derived_columns(series)
@@ -249,7 +249,7 @@ def label_direction(series: RawSeries, close_column: str = "price",
         warnings.warn(f"columns {leaky} reveal the same-row close; labels become trivial",
                       RuntimeWarning, stacklevel=2)
     start = max([1] + [first[c] for c in feature_columns])
-    closes = series.columns[close_column]
+    closes = series.columns["price"]
     labels = np.where(closes[start:] > closes[start - 1:-1], 1, -1).astype(np.int64)
     X = np.column_stack([cols[c][start:] for c in feature_columns])
     ids = tuple(f"r{t:04d}" for t in range(start, len(series)))
@@ -359,8 +359,7 @@ def _weekdays(start: date, count: int) -> list[date]:
     return out
 
 
-def synthetic_raw_series(seed: int, days: int = DEFAULT_DAYS,
-                         start: date = date(2018, 1, 2)) -> RawSeries:
+def synthetic_raw_series(seed: int, days: int = DEFAULT_DAYS) -> RawSeries:
     """Geometric random-walk index with a correlated gold series."""
     if days < 2:
         raise ValueError("need at least two days")
@@ -379,7 +378,7 @@ def synthetic_raw_series(seed: int, days: int = DEFAULT_DAYS,
     highs = np.maximum(opens, closes) * np.exp(spread)
     lows = np.minimum(opens, closes) * np.exp(-spread)
     volume = 2e7 * np.exp(rng.standard_normal(days + 1) * 0.4)
-    dates = _weekdays(start, days)
+    dates = _weekdays(date(2018, 1, 2), days)
     keep = slice(1, days + 1)  # one warm-up day feeds the first change entry
     return RawSeries(tuple(dates), {
         "price": closes[keep], "open": opens[keep], "high": highs[keep], "low": lows[keep],
@@ -436,8 +435,7 @@ def synthetic_dataset(seed: int, days: int = DEFAULT_DAYS,
 
 
 def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
-                              informative: int = 5, anchors: int = 24,
-                              repetitions: int = 2) -> Dataset:
+                              informative: int = 5, anchors: int = 24) -> Dataset:
     """Binary dataset whose labels are realizable by a Y+YY kernel machine.
 
     Labels come from the sign of a signed sum of fidelity-kernel bumps
@@ -456,7 +454,7 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
     base = rng.uniform(0.0, pi, size=(pool, informative))
     anchor_x = rng.uniform(0.0, pi, size=(anchors, informative))
     coeff = np.where(np.arange(anchors) % 2 == 0, 1.0, -1.0)
-    score = gram_matrix(base, anchor_x, quantum_config("yyy", informative, repetitions)).values @ coeff
+    score = gram_matrix(base, anchor_x, quantum_config("yyy", informative, 2)).values @ coeff
     margin = score - np.median(score)
     pos_idx = np.flatnonzero(margin > 0)
     neg_idx = np.flatnonzero(margin <= 0)

@@ -111,6 +111,9 @@ def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
         raise ValueError("trials must be >= 1")
     configs = tuple(ConfigPoint(c.features, c.size) if isinstance(c, ConfigPoint) else ConfigPoint(*c)
                     for c in configs)
+    repeated = sorted({(c.features, c.size) for c in configs if configs.count(c) > 1})
+    if repeated:
+        raise ValueError(f"grid points (F, N) must be unique; repeated: {repeated}")
     kernel_map = {k.name: k for k in kernels}
     if len(kernel_map) != len(kernels):
         raise ValueError("kernel names must be unique")
@@ -205,16 +208,19 @@ def ptri_scores(z: np.ndarray) -> np.ndarray:
     return scores
 
 
-def ptri(sr: SweepResult, method: str, metric: str = "balanced_accuracy",
+def ptri(sr: SweepResult, methods: list[str], metric: str = "balanced_accuracy",
          trial_selection: str = "all", baseline: str | None = None) -> PTRIGrid:
-    """Ruggedness surface of a method's metric over the full config grid.
+    """Ruggedness surfaces of each method's metric over the full config grid, in one grid.
 
     ``trial_selection="all"`` averages every trial per cell;
     ``"reference"`` averages the two trials where the baseline (default:
     the method itself; refused with ``"all"``) was closest to its min and max.
     """
-    if method not in sr.kernel_names:
-        raise ValueError(f"kernel {method!r} not present in the sweep")
+    if not methods:
+        raise ValueError("no methods to score")
+    for method in methods:
+        if method not in sr.kernel_names:
+            raise ValueError(f"kernel {method!r} not present in the sweep")
     if metric != "balanced_accuracy" and metric != "f1":
         raise ValueError(f"unknown metric {metric!r}")
     feature_axis = tuple(sorted({c.features for c in sr.configs}))
@@ -225,36 +231,26 @@ def ptri(sr: SweepResult, method: str, metric: str = "balanced_accuracy",
         raise ValueError(f"config grid is ragged; missing points: {missing}")
 
     if trial_selection == "reference":
-        refs = select_reference_trials(sr, baseline or method)
+        refs = {m: select_reference_trials(sr, baseline or m) for m in methods}
     elif trial_selection != "all":
         raise ValueError(f"unknown trial_selection {trial_selection!r}")
     elif baseline is not None:
         raise ValueError("a baseline applies only to trial_selection 'reference' (--selection reference)")
 
-    z = np.zeros((len(feature_axis), len(size_axis)))
-    for fi, f in enumerate(feature_axis):
-        for si, n in enumerate(size_axis):
-            cfg = ConfigPoint(f, n)
-            vals = sr.metric_values(cfg, method, metric)
-            if trial_selection == "reference":
-                ref = refs[cfg]
-                vals = [vals[t] for t in sorted({ref.closest_to_min, ref.closest_to_max})]
-            z[fi, si], _ = mean_std(vals)
-    return PTRIGrid(feature_axis, size_axis, {method: z}, {method: ptri_scores(z)})
-
-
-def merge_ptri(grids) -> PTRIGrid:
-    """One grid holding every method of the inputs, which are left unchanged."""
-    grids = list(grids)
-    if not grids:
-        raise ValueError("no PTRI grids to merge")
-    merged = PTRIGrid(grids[0].feature_axis, grids[0].size_axis, {}, {})
-    for g in grids:
-        if g.feature_axis != merged.feature_axis or g.size_axis != merged.size_axis:
-            raise ValueError("cannot merge PTRI grids with different axes")
-        merged.values.update(g.values)
-        merged.scores.update(g.scores)
-    return merged
+    grid = PTRIGrid(feature_axis, size_axis, {}, {})
+    for method in methods:
+        z = np.zeros((len(feature_axis), len(size_axis)))
+        for fi, f in enumerate(feature_axis):
+            for si, n in enumerate(size_axis):
+                cfg = ConfigPoint(f, n)
+                vals = sr.metric_values(cfg, method, metric)
+                if trial_selection == "reference":
+                    ref = refs[method][cfg]
+                    vals = [vals[t] for t in sorted({ref.closest_to_min, ref.closest_to_max})]
+                z[fi, si], _ = mean_std(vals)
+        grid.values[method] = z
+        grid.scores[method] = ptri_scores(z)
+    return grid
 
 
 @dataclass(eq=False)

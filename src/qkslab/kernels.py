@@ -32,52 +32,46 @@ _CROSS = 0x435253  # role word "CRS" in cross-gram entry seeds
 
 @dataclass(frozen=True)
 class KernelConfig:
-    kind: str  # "quantum" | "rbf"
-    mode: str = "exact"  # "exact" | "shots"
+    """A kernel: quantum when it has a feature map, in shots mode when it has shots."""
     feature_map: FeatureMapSpec | None = None
     gamma: float | None = None  # rbf only; None means "resolve from the train split"
     shots: int | None = None
     master_seed: int = 0
     name: str = ""
-    allow_overshoot: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "rbf" if self.feature_map is None else "quantum"
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.shots is None else "shots"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("quantum", "rbf"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.mode not in ("exact", "shots"):
-            raise ValueError(f"unknown kernel mode {self.mode!r}")
-        if self.kind == "quantum":
-            if self.feature_map is None:
-                raise ValueError("quantum kernel requires a feature map")
-            if self.gamma is not None:
-                raise ValueError("gamma applies to the rbf kernel only")
-        else:
-            if self.feature_map is not None:
-                raise ValueError("rbf kernel takes no feature map")
-            if self.mode != "exact":
-                raise ValueError("rbf kernel supports exact mode only")
-            if self.gamma is not None and self.gamma <= 0:
-                raise ValueError("gamma must be positive")
-        if self.mode == "shots":
-            if self.shots is None or self.shots < 1:
-                raise ValueError("shots mode requires shots >= 1")
-            if self.shots > SHOT_CAP and not self.allow_overshoot:
-                raise ValueError(f"shots={self.shots} exceeds the {SHOT_CAP}-shot cap")
-        elif self.shots is not None:
-            raise ValueError("shots only apply in shots mode")
+        if self.feature_map is not None and self.gamma is not None:
+            raise ValueError("gamma applies to the rbf kernel only")
+        if self.feature_map is None and self.shots is not None:
+            raise ValueError("rbf kernel supports exact mode only")
+        if self.gamma is not None and self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if self.shots is not None and self.shots < 1:
+            raise ValueError("shots mode requires shots >= 1")
         if not self.name:
             raise ValueError("kernel config needs a name")
 
 
-def quantum_config(preset: str, num_features: int, repetitions: int = 2, mode: str = "exact",
+def quantum_config(preset: str, num_features: int, repetitions: int = 2,
                    shots: int | None = None, master_seed: int = 0,
                    allow_overshoot: bool = False) -> KernelConfig:
+    """A preset's kernel, in shots mode when ``shots`` is given (over ``SHOT_CAP`` with ``allow_overshoot``)."""
+    if shots is not None and shots > SHOT_CAP and not allow_overshoot:
+        raise ValueError(f"shots={shots} exceeds the {SHOT_CAP}-shot cap")
     spec = FeatureMapSpec.from_preset(preset, num_features, repetitions)
-    return KernelConfig("quantum", mode, spec, None, shots, master_seed, preset, allow_overshoot)
+    return KernelConfig(spec, None, shots, master_seed, preset)
 
 
 def rbf_config(gamma: float | None = None, master_seed: int = 0) -> KernelConfig:
-    return KernelConfig("rbf", "exact", None, gamma, None, master_seed, "rbf")
+    return KernelConfig(None, gamma, None, master_seed, "rbf")
 
 
 def rbf_gamma_scale(train_x: np.ndarray) -> float:
@@ -295,13 +289,14 @@ def write_gram(gram: GramMatrix, path) -> None:
 
 
 def read_gram(path) -> GramMatrix:
+    """A Gram file's matrix; its kernel description must be exactly what ``config_to_doc`` writes."""
     doc = read_json(path, {GRAM_FORMAT: GRAM_VERSION})
     with fields(path):
         k = doc["kernel"]
         spec = (FeatureMapSpec(k["pauli_layers"], doc["features"], k["repetitions"])
                 if k["kind"] == "quantum" else None)
-        config = KernelConfig(k["kind"], k["mode"], spec, k.get("gamma"), k["shots"],
-                              k["master_seed"], k["name"],
-                              k["shots"] is not None and k["shots"] > SHOT_CAP)
+        config = KernelConfig(spec, k.get("gamma"), k["shots"], k["master_seed"], k["name"])
+        if config_to_doc(config) != k:
+            raise ValueError(f"kernel description {k} is not one this version writes")
         return GramMatrix(np.array(doc["values"], dtype=np.float64), tuple(doc["row_ids"]),
                           tuple(doc["col_ids"]), config, bool(doc["symmetric"]))

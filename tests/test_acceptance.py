@@ -219,7 +219,7 @@ def test_end_to_end_pipeline():
     diffs = eqa_difference(sweep_a, "yyy", "rbf")
     assert set(diffs) == set(configs)
     for method in ("yyy", "rbf"):
-        grid = ptri(sweep_a, method)
+        grid = ptri(sweep_a, [method])
         assert grid.scores[method].shape == (len(feature_counts), len(sizes))
         assert np.all(grid.scores[method] >= 0.0)
 

@@ -205,6 +205,18 @@ def test_sweep_without_sizes_is_an_error(dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [["--sizes", "40,40", "--features", "3"],
+                                  ["--sizes", "40", "--features", "3,3"]],
+                         ids=["sizes", "features"])
+def test_sweep_with_a_repeated_grid_point_is_an_error(dataset, tmp_path, capsys, grid):
+    out = tmp_path / "sweep.json"
+    code, _, err = _run(["sweep", "--dataset", str(dataset), *grid, "--kernels", "rbf",
+                         "--trials", "1", "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "(3, 40)" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["sweep", "--sizes", "400", "--features", "2", "--kernels", "rbf", "--trials", "1"],
     ["variability", "--features", "9", "--size", "30", "--trials", "2"],

@@ -6,7 +6,7 @@ import pytest
 
 from qkslab.data import quantum_separable_dataset, synthetic_dataset
 from qkslab.experiment import (ConfigPoint, SweepResult, TrialRecord,
-                               eqa_difference, mean_std, merge_ptri, ptri, ptri_scores,
+                               eqa_difference, mean_std, ptri, ptri_scores,
                                ptri_to_doc, result_table_rows, run_sweep,
                                select_reference_trials, sweep_from_doc, sweep_to_doc,
                                variability_study, variability_to_doc, write_table)
@@ -100,14 +100,14 @@ def test_eqa_difference():
 
 def test_ptri_flat_grid_is_zero():
     cells = {(f, n, "m"): [0.6] for f in (5, 6, 7) for n in (200, 300, 400)}
-    grid = ptri(_fake_sweep(cells), "m")
+    grid = ptri(_fake_sweep(cells), ["m"])
     assert np.all(grid.scores["m"] == 0.0)
 
 
 def test_ptri_center_hand_example():
     cells = {(f, n, "m"): [0.6] for f in (5, 6, 7) for n in (200, 300, 400)}
     cells[(6, 300, "m")] = [0.5]
-    grid = ptri(_fake_sweep(cells), "m")
+    grid = ptri(_fake_sweep(cells), ["m"])
     center = grid.scores["m"][1, 1]
     assert center == pytest.approx(sqrt(8 * 0.01), abs=1e-10)
     assert center == pytest.approx(0.2828, abs=5e-4)
@@ -133,31 +133,34 @@ def test_ptri_shift_and_scale_behaviour():
 def test_ptri_requires_full_grid():
     cells = {(5, 200, "m"): [0.5], (6, 300, "m"): [0.5]}
     with pytest.raises(ValueError, match="ragged"):
-        ptri(_fake_sweep(cells), "m")
+        ptri(_fake_sweep(cells), ["m"])
 
 
 def test_ptri_reference_selection_averages_min_max_trials():
     cells = {(f, n, "m"): [0.4, 0.9, 0.6] for f in (5, 6) for n in (200, 300)}
-    grid = ptri(_fake_sweep(cells, trials=3), "m", trial_selection="reference")
+    grid = ptri(_fake_sweep(cells, trials=3), ["m"], trial_selection="reference")
     np.testing.assert_allclose(grid.values["m"], 0.65)  # mean of min and max trials
 
 
-def test_merge_ptri():
+def test_ptri_scores_every_method():
     cells = {(f, n, k): [0.5] for f in (5, 6) for n in (200, 300) for k in ("a", "b")}
+    cells[(6, 300, "b")] = [0.9]
     sr = _fake_sweep(cells, kernels=("a", "b"))
-    a, b = ptri(sr, "a"), ptri(sr, "b")
-    grid = merge_ptri([a, b])
+    grid = ptri(sr, ["a", "b"])
     assert set(grid.scores) == set(grid.values) == {"a", "b"}
-    assert set(a.scores) == set(a.values) == {"a"}  # inputs are left unchanged
-    assert set(b.scores) == set(b.values) == {"b"}
+    for method in ("a", "b"):
+        alone = ptri(sr, [method])
+        assert np.array_equal(grid.values[method], alone.values[method])
+        assert np.array_equal(grid.scores[method], alone.scores[method])
+    assert grid.scores["a"].max() == 0.0 < grid.scores["b"].max()
     with pytest.raises(ValueError):
-        merge_ptri([])
+        ptri(sr, [])
 
 
 # --- variability ---
 
 @pytest.mark.parametrize("kernel", [quantum_config("zz", 2, 1),
-                                    quantum_config("zz", 2, 1, "shots", 64, master_seed=5)],
+                                    quantum_config("zz", 2, 1, shots=64, master_seed=5)],
                          ids=["exact", "shots"])
 def test_variability_records_are_the_one_point_sweep_records(kernel):
     ds = synthetic_dataset(6, days=80)
@@ -218,7 +221,7 @@ def test_result_tables(tmp_path):
     write_table(sweep_doc, tmp_path / "sweep.csv")
     assert (tmp_path / "sweep.csv").read_text().startswith("features,size,kernel")
 
-    grid = ptri(sr, "m")
+    grid = ptri(sr, ["m"])
     ptri_doc = ptri_to_doc(grid, "balanced_accuracy", "all", None)
     header, rows = result_table_rows(ptri_doc)
     assert len(rows) == 4

@@ -1,4 +1,6 @@
 """Tests for kernel entries, Gram assembly, PSD clipping, and the gram file."""
+import json
+import re
 from itertools import product
 from math import cos, exp, pi
 
@@ -74,7 +76,7 @@ def test_symmetry_is_exact_by_construction():
     rng = np.random.default_rng(7)
     X = rng.uniform(0, pi, size=(8, 3))
     for cfg in (quantum_config("yyy", 3, 2), rbf_config(gamma=0.3),
-                quantum_config("yyy", 3, 1, "shots", 256, master_seed=9)):
+                quantum_config("yyy", 3, 1, shots=256, master_seed=9)):
         g = gram_matrix(X, None, cfg, clip=False)
         assert np.array_equal(g.values, g.values.T)
 
@@ -92,7 +94,7 @@ def test_exact_grams_are_psd_across_presets():
 def test_shots_gram_is_deterministic_and_unbiased():
     rng = np.random.default_rng(9)
     X = rng.uniform(0, pi, size=(4, 2))
-    cfg = quantum_config("yyy", 2, 1, "shots", 1024, master_seed=77)
+    cfg = quantum_config("yyy", 2, 1, shots=1024, master_seed=77)
     a = gram_matrix(X, None, cfg, clip=False)
     b = gram_matrix(X, None, cfg, clip=False)
     assert np.array_equal(a.values, b.values)
@@ -102,7 +104,7 @@ def test_shots_gram_is_deterministic_and_unbiased():
     shots = 1024
     est = []
     for seed in range(400):
-        cfg_s = quantum_config("yyy", 2, 1, "shots", shots, master_seed=seed)
+        cfg_s = quantum_config("yyy", 2, 1, shots=shots, master_seed=seed)
         est.append(gram_matrix(X[:2], None, cfg_s, clip=False).values[0, 1])
     se = np.sqrt(exact * (1 - exact) / (shots * len(est)))
     assert abs(np.mean(est) - exact) < 3 * se
@@ -117,7 +119,7 @@ def test_shots_gram_pair_entries_match_the_circuit_oracle(preset, features):
     train = rng.uniform(0, pi, size=(5, features))
     test = rng.uniform(0, pi, size=(3, features))
     shots, master = 256, 123
-    cfg = quantum_config(preset, features, 2, "shots", shots, master)
+    cfg = quantum_config(preset, features, 2, shots=shots, master_seed=master)
     train_g, cross_g = gram_pair(train, test, cfg, clip=False)
 
     def oracle(x, y, seed):
@@ -133,7 +135,7 @@ def test_shots_gram_pair_entries_match_the_circuit_oracle(preset, features):
 
 def test_shots_cross_gram_does_not_reuse_train_gram_seeds():
     train = np.random.default_rng(17).uniform(0, pi, size=(4, 2))
-    cfg = quantum_config("zz", 2, 1, "shots", 64, 7)
+    cfg = quantum_config("zz", 2, 1, shots=64, master_seed=7)
     train_g, cross_g = gram_pair(train, train[:2], cfg, clip=False)
     assert not np.array_equal(cross_g.values, train_g.values[:2])
 
@@ -160,7 +162,7 @@ def test_psd_clip_examples():
 def test_shots_mode_clips_by_default():
     rng = np.random.default_rng(12)
     X = rng.uniform(0, pi, size=(6, 2))
-    cfg = quantum_config("yyy", 2, 1, "shots", 32, master_seed=3)
+    cfg = quantum_config("yyy", 2, 1, shots=32, master_seed=3)
     g = gram_matrix(X, None, cfg)
     assert np.linalg.eigvalsh(g.values).min() >= -1e-10
 
@@ -198,23 +200,26 @@ def test_gram_pair_clips_the_exact_train_gram_on_request(monkeypatch):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        quantum_config("yyy", 2, 1, "shots", 2000)
-    assert quantum_config("yyy", 2, 1, "shots", 2000, allow_overshoot=True).shots == 2000
+        quantum_config("yyy", 2, 1, shots=2000)
+    assert quantum_config("yyy", 2, 1, shots=2000, allow_overshoot=True).shots == 2000
     with pytest.raises(ValueError):
-        quantum_config("yyy", 2, 1, "shots", 0)
+        quantum_config("yyy", 2, 1, shots=0)
     with pytest.raises(ValueError):
-        KernelConfig("rbf", "shots", None, 1.0, 100)
+        KernelConfig(None, 1.0, 100, name="rbf")  # rbf in shots mode
     with pytest.raises(ValueError):
-        KernelConfig("quantum", "exact")
-    with pytest.raises(ValueError):
-        KernelConfig("rbf", "exact", None, 1.0)  # unnamed
+        KernelConfig(None, 1.0)  # unnamed
+    rbf, exact = rbf_config(gamma=1.0), quantum_config("yyy", 2, 1)
+    shots = quantum_config("yyy", 2, 1, shots=100)
+    assert (rbf.kind, rbf.mode) == ("rbf", "exact")
+    assert (exact.kind, exact.mode) == ("quantum", "exact")
+    assert (shots.kind, shots.mode) == ("quantum", "shots")
 
 
 def test_gram_file_round_trip(tmp_path):
     rng = np.random.default_rng(14)
     X = rng.uniform(0, pi, size=(4, 2))
     for cfg in (quantum_config("yyy", 2, 2, master_seed=5),
-                quantum_config("zz", 2, 1, "shots", 100, master_seed=6),
+                quantum_config("zz", 2, 1, shots=100, master_seed=6),
                 rbf_config(gamma=0.37, master_seed=7)):
         g = gram_matrix(X, None, cfg, clip=False)
         path = tmp_path / f"{cfg.name}.gram"
@@ -230,4 +235,20 @@ def test_gram_file_rejects_wrong_version(tmp_path):
     path = tmp_path / "bad.gram"
     path.write_text('{"format": "qkslab-gram", "version": "9.0"}')
     with pytest.raises(ValueError, match="version"):
+        read_gram(path)
+
+
+@pytest.mark.parametrize("edit", [
+    {"kind": "rbf", "gamma": 0.5},  # an rbf kernel that still lists pauli_layers
+    {"mode": "shots", "shots": None},
+    {"kind": "foo"},
+], ids=["rbf-with-pauli-layers", "shots-mode-without-shots", "unknown-kind"])
+def test_gram_file_rejects_kernel_descriptions_it_would_not_write(tmp_path, edit):
+    X = np.random.default_rng(16).uniform(0, pi, size=(3, 2))
+    path = tmp_path / "bad.gram"
+    write_gram(gram_matrix(X, None, quantum_config("zz", 2, 1)), path)
+    doc = json.loads(path.read_text())
+    doc["kernel"].update(edit)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"malformed {re.escape(str(path))}"):
         read_gram(path)
