@@ -18,22 +18,22 @@ import numpy as np
 
 from . import __version__
 from .data import (DEFAULT_DAYS, DEFAULT_FEATURES, ingest, label_direction, read_dataset,
-                   synthetic_dataset, sample_subset, scale_split, write_dataset, SubsetSpec)
+                   synthetic_dataset, write_dataset)
 from .documents import check_format, read_json, write_csv, write_json
 from .experiment import (ConfigPoint, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES, ExperimentError,
                          RESULT_FORMATS, ptri, ptri_to_doc, result_table_rows,
-                         run_sweep, sweep_from_doc, sweep_to_doc, variability_study,
+                         run_sweep, sweep_from_doc, sweep_to_doc, trial, variability_study,
                          variability_to_doc, write_table)
 from .feature_maps import PRESETS
 from .kernels import SHOT_CAP, gram_matrix, quantum_config, rbf_config, resolve_gamma, write_gram
 from .resources import TABLE_HEADER, verification_table
-from .seeding import mix64
 
 MANIFEST_FORMAT = "qkslab-manifest"
 MANIFEST_VERSION = "1.0"
 _MANIFEST_FIELDS = {"command": str, "arguments": dict, "inputs": dict, "outputs": dict}
 
 KERNEL_CHOICES = (*PRESETS, "rbf")
+REPS = 2  # --reps default
 
 
 class CliError(RuntimeError):
@@ -69,11 +69,36 @@ def _write_result(args, doc: dict, inputs: list) -> None:
     _write_manifest(args, inputs, outputs)
 
 
-def _make_kernel(name: str, features: int, args):
-    if name == "rbf":
-        return rbf_config(gamma=args.gamma, master_seed=args.seed)
-    return quantum_config(name, features, args.reps, args.shots if args.mode == "shots" else None,
-                          args.seed, args.allow_overshoot)
+def _kernels(args, names) -> list:
+    """Templates of the named kernels for ``experiment.trial``; an unused kernel flag is an error."""
+    names = [name.strip() for name in names]
+    for name in names:
+        if name not in KERNEL_CHOICES:
+            raise CliError(f"unknown kernel {name!r}; choose from {KERNEL_CHOICES}")
+    quantum, shots = any(name != "rbf" for name in names), args.mode == "shots"
+    for flag, unused, needs in (
+            ("--gamma", args.gamma is not None and "rbf" not in names, "an rbf kernel"),
+            ("--mode shots", shots and not quantum, "a quantum kernel"),
+            ("--reps", args.reps != REPS and not quantum, "a quantum kernel"),
+            ("--shots", args.shots != SHOT_CAP and not shots, "--mode shots"),
+            ("--allow-overshoot", args.allow_overshoot and not shots, "--mode shots")):
+        if unused:
+            raise CliError(f"{flag} needs {needs}; it changes none of: {','.join(names)}")
+    return [rbf_config(args.gamma, args.seed) if name == "rbf" else
+            quantum_config(name, max(DEFAULT_FEATURE_COUNTS), args.reps,
+                           args.shots if shots else None, args.seed, args.allow_overshoot)
+            for name in names]
+
+
+def _check_paths(args) -> None:
+    """Refuse a command line that would write a file over one of its inputs or other outputs."""
+    out = getattr(args, "out", None)
+    inputs = (getattr(args, k, None) for k in ("dataset", "sweep", "input", "index", "gold"))
+    seen = {Path(p).resolve() for p in inputs if p}
+    for path in filter(None, (out, getattr(args, "table", None), out and out + ".manifest.json")):
+        if Path(path).resolve() in seen:
+            raise CliError(f"{path} names another input or output of this command")
+        seen.add(Path(path).resolve())
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -89,7 +114,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    columns = tuple(args.columns.split(",")) if args.columns else DEFAULT_FEATURES
+    columns = DEFAULT_FEATURES if args.columns is None else tuple(args.columns.split(","))
     if args.synthetic is not None:
         if args.index or args.gold:
             raise CliError("--synthetic generates the data; drop --index and --gold")
@@ -114,12 +139,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    """Write the train Gram (``--rows train``) or test-by-train cross Gram of trial 0 of the sweep
+    protocol at (``--features``, ``--size``): the Gram ``sweep --seed`` scored there."""
+    kernels = _kernels(args, [args.map])
+    if args.no_psd_clip and not (args.mode == "shots" and args.rows == "train"):
+        raise CliError("--no-psd-clip applies only to a --mode shots --rows train Gram")
     ds = read_dataset(args.dataset)
-    size = args.size if args.size is not None else len(ds)
-    subset = SubsetSpec(size, args.features, mix64(args.seed, size, args.features),
-                        args.split_ratio)
-    train_ds, test_ds = scale_split(*sample_subset(ds, subset))
-    config = resolve_gamma(_make_kernel(args.map, args.features, args), train_ds.X)
+    point = ConfigPoint(args.features, args.size if args.size is not None else len(ds))
+    _, train_ds, test_ds, trial_kernels = trial(ds, point, 0, args.seed, args.split_ratio, kernels)
+    config = resolve_gamma(trial_kernels[args.map], train_ds.X)
     if args.rows == "train":
         gram = gram_matrix(train_ds.X, None, config, row_ids=train_ds.ids,
                            clip=False if args.no_psd_clip else None)
@@ -134,23 +162,12 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def _sweep_kernels(args):
-    kernels = []
-    for name in args.kernels.split(","):
-        name = name.strip()
-        if name not in KERNEL_CHOICES:
-            raise CliError(f"unknown kernel {name!r}; choose from {KERNEL_CHOICES}")
-        # feature count is a template here; the sweep re-instantiates per grid point
-        kernels.append(_make_kernel(name, max(DEFAULT_FEATURE_COUNTS), args))
-    return kernels
-
-
 def cmd_sweep(args) -> int:
     ds = read_dataset(args.dataset)
     sizes = _parse_int_list(args.sizes)
     feature_counts = _parse_int_list(args.features)
     configs = [ConfigPoint(f, n) for f in feature_counts for n in sizes]
-    sr = run_sweep(ds, configs, _sweep_kernels(args), args.trials, args.seed,
+    sr = run_sweep(ds, configs, _kernels(args, args.kernels.split(",")), args.trials, args.seed,
                    args.split_ratio, args.c, args.tol)
     _write_result(args, sweep_to_doc(sr), [args.dataset])
     print(f"configs={len(configs)} kernels={len(sr.kernel_names)} trials={args.trials} "
@@ -172,7 +189,7 @@ def cmd_ptri(args) -> int:
 def cmd_variability(args) -> int:
     ds = read_dataset(args.dataset)
     vr = variability_study(ds, ConfigPoint(args.features, args.size),
-                           _make_kernel(args.kernel, args.features, args), args.trials,
+                           _kernels(args, [args.kernel])[0], args.trials,
                            args.seed, args.split_ratio, args.c, args.tol, args.bins)
     _write_result(args, variability_to_doc(vr), [args.dataset])
     print(f"trials={vr.trials} mean={vr.mean:.6f} std={vr.std:.6f}")
@@ -250,7 +267,7 @@ def cmd_replay(args) -> int:
 # --- argument parsing -------------------------------------------------------------
 
 def _add_kernel_flags(sub) -> None:
-    sub.add_argument("--reps", type=int, default=2, help="feature-map repetitions (default 2)")
+    sub.add_argument("--reps", type=int, default=REPS, help="feature-map repetitions (default 2)")
     sub.add_argument("--mode", choices=("exact", "shots"), default="exact")
     sub.add_argument("--shots", type=int, default=SHOT_CAP)
     sub.add_argument("--gamma", type=float, default=None,
@@ -357,6 +374,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except (CliError, ExperimentError, ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

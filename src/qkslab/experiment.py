@@ -81,13 +81,18 @@ def _subset_fingerprint(train: Dataset, test: Dataset) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _kernel_for(config: KernelConfig, num_features: int, trial_seed: int) -> KernelConfig:
-    """Instantiate a sweep kernel template at a grid point."""
-    seed = mix64(config.master_seed, trial_seed)
-    if config.kind == "quantum":
-        fm = replace(config.feature_map, num_features=num_features)
-        return replace(config, feature_map=fm, master_seed=seed)
-    return replace(config, master_seed=seed)
+def trial(ds: Dataset, point: ConfigPoint, t: int, master_seed: int, split_ratio: float,
+          kernels) -> tuple[int, Dataset, Dataset, dict[str, KernelConfig]]:
+    """Trial ``t`` at ``point``: seed mix64(master_seed, F, N, t), the scaled train/test split,
+    and each kernel template at F with seed mix64(kernel master, trial seed), by name."""
+    trial_seed = mix64(master_seed, point.features, point.size, t)
+    subset = SubsetSpec(point.size, point.features, trial_seed, split_ratio)
+    train_ds, test_ds = scale_split(*sample_subset(ds, subset))
+    instances = {}
+    for k in kernels:
+        fm = None if k.feature_map is None else replace(k.feature_map, num_features=point.features)
+        instances[k.name] = replace(k, feature_map=fm, master_seed=mix64(k.master_seed, trial_seed))
+    return trial_seed, train_ds, test_ds, instances
 
 
 def evaluate_kernels_on_subset(train_ds: Dataset, test_ds: Dataset, kernels: dict[str, KernelConfig],
@@ -122,13 +127,10 @@ def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
     }
     for cfg in configs:
         for t in range(trials):
-            trial_seed = mix64(master_seed, cfg.features, cfg.size, t)
             try:
-                subset = SubsetSpec(cfg.size, cfg.features, trial_seed, split_ratio)
-                train_ds, test_ds = scale_split(*sample_subset(ds, subset))
+                trial_seed, train_ds, test_ds, trial_kernels = trial(
+                    ds, cfg, t, master_seed, split_ratio, kernel_map.values())
                 fingerprint = _subset_fingerprint(train_ds, test_ds)
-                trial_kernels = {name: _kernel_for(k, cfg.features, trial_seed)
-                                 for name, k in kernel_map.items()}
                 scores = evaluate_kernels_on_subset(train_ds, test_ds, trial_kernels, svm_c, svm_tol)
             except Exception as exc:
                 raise ExperimentError(

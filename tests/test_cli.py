@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its manifests."""
+import argparse
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qkslab import __version__
@@ -429,3 +431,121 @@ def test_replay_rejects_a_manifest_from_another_tool_version(tmp_path, capsys):
     code, _, err = _run(["replay", str(manifest_path)], capsys)
     assert code == 1
     assert f"written by qkslab 0.0.1, this is qkslab {__version__}" in err
+
+
+@pytest.mark.parametrize("kernel", [["yyy"], ["zz", "--mode", "shots", "--shots", "64"], ["rbf"]],
+                         ids=["exact-yyy", "shots-zz", "rbf"])
+def test_kernel_writes_the_grams_of_sweep_trial_0(dataset, tmp_path, capsys, monkeypatch, kernel):
+    from qkslab import experiment
+    from qkslab.kernels import read_gram
+
+    pairs = []
+    gram_pair = experiment.gram_pair
+
+    def recorded_gram_pair(*args, **kwargs):
+        pairs.append(gram_pair(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(experiment, "gram_pair", recorded_gram_pair)
+    name, *flags = kernel
+    sweep_path = tmp_path / "sweep.json"
+    code, _, err = _run(["sweep", "--dataset", str(dataset), "--sizes", "24", "--features", "3",
+                         "--kernels", name, *flags, "--trials", "1", "--seed", "5",
+                         "--out", str(sweep_path)], capsys)
+    assert code == 0, err
+    (train, cross), = pairs
+    grams = {}
+    for rows in ("train", "test"):
+        out = tmp_path / f"{rows}.gram"
+        code, _, err = _run(["kernel", "--dataset", str(dataset), "--map", name, *flags,
+                             "--features", "3", "--size", "24", "--seed", "5", "--rows", rows,
+                             "--out", str(out)], capsys)
+        assert code == 0, err
+        grams[rows] = read_gram(out)
+    for written, scored in ((grams["train"], train), (grams["test"], cross)):
+        assert (written.row_ids, written.col_ids) == (scored.row_ids, scored.col_ids)
+        assert np.array_equal(written.values, scored.values)
+    ids = " ".join(grams["train"].row_ids) + "|" + " ".join(grams["test"].row_ids)
+    record, = json.loads(sweep_path.read_text())["cells"][0]["records"]
+    assert hashlib.sha256(ids.encode()).hexdigest()[:16] == record["fingerprint"]
+
+
+_SMALL = ["--features", "3", "--trials", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--map", "rbf", "--features", "3", "--size", "24", "--mode", "shots"],
+    ["kernel", "--map", "yyy", "--features", "3", "--size", "24", "--gamma", "3"],
+    ["variability", "--kernel", "rbf", "--size", "24", *_SMALL, "--mode", "shots",
+     "--shots", "64"],
+    ["sweep", "--kernels", "rbf", "--sizes", "24", *_SMALL, "--mode", "shots"],
+    ["kernel", "--map", "yyy", "--features", "3", "--size", "24", "--shots", "64"],
+    ["sweep", "--kernels", "yyy", "--sizes", "24", *_SMALL, "--allow-overshoot"],
+    ["variability", "--kernel", "rbf", "--size", "24", *_SMALL, "--reps", "3"],
+    ["kernel", "--map", "yyy", "--features", "3", "--size", "24", "--no-psd-clip"],
+    ["kernel", "--map", "yyy", "--features", "3", "--size", "24", "--mode", "shots",
+     "--rows", "test", "--no-psd-clip"],
+    ["ingest", "--synthetic", "3", "--columns", ""],
+], ids=["kernel-rbf-shots", "kernel-quantum-gamma", "variability-rbf-shots",
+        "sweep-rbf-shots", "shots-in-exact-mode", "overshoot-in-exact-mode", "rbf-reps",
+        "psd-clip-in-exact-mode", "psd-clip-on-cross-gram", "empty-columns"])
+def test_flags_that_change_nothing_are_errors(dataset, tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    inputs = [] if argv[0] == "ingest" else ["--dataset", str(dataset)]
+    code, _, err = _run([*argv, *inputs, "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_shots_and_gamma_apply_to_one_kernel_each(dataset, tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    code, _, err = _run(["sweep", "--dataset", str(dataset), "--sizes", "24", "--features", "3",
+                         "--kernels", "yyy,rbf", "--mode", "shots", "--shots", "64",
+                         "--gamma", "0.5", "--trials", "1", "--out", str(out)], capsys)
+    assert code == 0, err
+    kernels = {k["name"]: k for k in json.loads(out.read_text())["kernels"]}
+    assert (kernels["yyy"]["mode"], kernels["yyy"]["shots"]) == ("shots", 64)
+    assert (kernels["rbf"]["mode"], kernels["rbf"]["gamma"]) == ("exact", 0.5)
+
+
+def test_no_psd_clip_keeps_the_sampled_train_gram(dataset, tmp_path, capsys):
+    from qkslab.kernels import psd_clip, read_gram
+
+    argv = ["kernel", "--dataset", str(dataset), "--map", "zz", "--features", "3",
+            "--size", "24", "--mode", "shots", "--shots", "64", "--seed", "2"]
+    for name, extra in (("raw", ["--no-psd-clip"]), ("clipped", [])):
+        code, _, err = _run([*argv, *extra, "--out", str(tmp_path / name)], capsys)
+        assert code == 0, err
+    raw, clipped = read_gram(tmp_path / "raw"), read_gram(tmp_path / "clipped")
+    counts = raw.values * 64
+    assert np.array_equal(counts, np.round(counts))
+    assert not np.array_equal(raw.values, clipped.values)
+    assert np.array_equal(clipped.values, psd_clip(raw).values)
+
+
+@pytest.mark.parametrize("files", [
+    "sweep --dataset {ds} --out {d}/x --table {d}/x",
+    "sweep --dataset {ds} --out {d}/x --table {d}/x.manifest.json",
+    "sweep --dataset {ds} --out {ds}",
+    "kernel --dataset {ds} --map z --features 2 --size 20 --out {ds}",
+    "kernel --dataset {ds} --map z --features 2 --size 20 --out {d}/../{d.name}/ds.json",
+    "report --input {d}/x --out {d}/x",
+], ids=["sweep-out-is-table", "sweep-table-is-manifest", "sweep-out-is-dataset",
+        "kernel-out-is-dataset", "kernel-out-is-dataset-by-another-path", "report-out-is-input"])
+def test_command_lines_whose_files_collide_are_errors(dataset, tmp_path, capsys, files):
+    (tmp_path / "x").write_text("{}")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = files.format(ds=dataset, d=tmp_path).split()
+    if argv[0] == "sweep":
+        argv += ["--sizes", "20", "--features", "2", "--kernels", "rbf", "--trials", "1"]
+    code, _, err = _run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "names another input or output" in err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_every_command_has_a_replayed_command_line():
+    subparsers, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    covered = {line.split()[0] for line in _COMMAND_LINES.values()}
+    assert set(subparsers.choices) - {"replay"} == covered
