@@ -6,8 +6,11 @@ The solver maximizes the standard dual
     s.t.  0 <= a_i <= C,  sum_i a_i y_i = 0
 
 with maximal-violating-pair working-set selection and stops when the
-largest KKT violation drops to ``tol``.  Selection ties break on the lowest
-index, so training is fully deterministic.
+largest KKT violation drops to ``tol``.  The criterion -y * grad is kept up
+to date in place from two rows of K per step, and selection is a masked
+argmax/argmin over it (additive 0/inf working-set masks), so ties break on
+the lowest index and training is fully deterministic.  The solver is
+bit-identical to the plain loop ``tests/oracles.reference_smo``.
 """
 from __future__ import annotations
 
@@ -65,47 +68,59 @@ def train(gram: GramMatrix, labels, C: float = 1.0, tol: float = 1e-3,
     if tol <= 0:
         raise ValueError("tol must be positive")
 
+    C = float(C)
     K = gram.values
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of (1/2) a^T Q a - sum(a), Q_ij = y_i y_j K_ij
-    pos = y > 0
+    ys = y.tolist()
+    diag = K.diagonal().tolist()
+    alpha = [0.0] * n
+    # crit = -y * grad (grad of (1/2) a^T Q a - sum(a), Q_ij = y_i y_j K_ij) starts at y and
+    # is updated in place; y is +-1, so it rounds exactly as -y * grad would.
+    crit = y.copy()
+    # Additive working-set masks: 0 where index k may move up (down), else -inf (+inf).
+    up_off = np.where(y > 0, 0.0, -np.inf)
+    low_off = np.where(y > 0, np.inf, 0.0)
+    buf = np.empty(n)
     warned_indefinite = False
     converged = False
     iteration = 0
 
     for iteration in range(1, _MAX_ITER + 1):
-        crit = -y * grad
-        up = np.where(pos, alpha < C, alpha > 0)
-        low = np.where(pos, alpha > 0, alpha < C)
-        i = int(np.where(up, crit, -np.inf).argmax())
-        j = int(np.where(low, crit, np.inf).argmin())
-        violation = crit[i] - crit[j]
+        i = int(np.add(crit, up_off, out=buf).argmax())
+        j = int(np.add(crit, low_off, out=buf).argmin())
+        violation = crit.item(i) - crit.item(j)
         if violation <= tol:
             converged = True
             break
 
-        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        row_i, row_j = K[i], K[j]  # rows equal columns: the gram is exactly symmetric
+        quad = diag[i] + diag[j] - 2.0 * row_i.item(j)
         if quad <= 0:
             if not warned_indefinite:
                 warnings.warn("gram matrix is not positive semidefinite; "
                               "clamping SMO steps to the box", RuntimeWarning, stacklevel=2)
                 warned_indefinite = True
             quad = _TAU
-        t_room_i = C - alpha[i] if pos[i] else alpha[i]
-        t_room_j = alpha[j] if pos[j] else C - alpha[j]
+        a_i, a_j, y_i, y_j = alpha[i], alpha[j], ys[i], ys[j]
+        t_room_i = C - a_i if y_i > 0 else a_i
+        t_room_j = a_j if y_j > 0 else C - a_j
         t = min(violation / quad, t_room_i, t_room_j)
 
-        new_i = alpha[i] + y[i] * t
-        new_j = alpha[j] - y[j] * t
+        new_i = a_i + y_i * t
+        new_j = a_j - y_j * t
         if t == t_room_i:  # land exactly on the box boundary
-            new_i = C if pos[i] else 0.0
+            new_i = C if y_i > 0 else 0.0
         if t == t_room_j:
-            new_j = 0.0 if pos[j] else C
-        grad += y * (y[i] * K[:, i]) * (new_i - alpha[i])
-        grad += y * (y[j] * K[:, j]) * (new_j - alpha[j])
+            new_j = 0.0 if y_j > 0 else C
+        crit += np.multiply(row_i, -y_i * (new_i - a_i), out=buf)
+        crit += np.multiply(row_j, -y_j * (new_j - a_j), out=buf)
         alpha[i], alpha[j] = new_i, new_j
+        up_off[i] = 0.0 if (new_i < C if y_i > 0 else new_i > 0) else -np.inf
+        low_off[i] = 0.0 if (new_i > 0 if y_i > 0 else new_i < C) else np.inf
+        up_off[j] = 0.0 if (new_j < C if y_j > 0 else new_j > 0) else -np.inf
+        low_off[j] = 0.0 if (new_j > 0 if y_j > 0 else new_j < C) else np.inf
         if callback is not None:
-            callback(iteration, 0.5 * float(alpha @ (1.0 - grad)))
+            callback(iteration, 0.5 * float(np.array(alpha) @ (1.0 + y * crit)))
+    alpha = np.array(alpha)
     if not converged:
         warnings.warn(f"SMO did not reach tol={tol} within {_MAX_ITER} iterations",
                       RuntimeWarning, stacklevel=2)
@@ -122,7 +137,7 @@ def train(gram: GramMatrix, labels, C: float = 1.0, tol: float = 1e-3,
         b_up = cand[upper].min() if upper.any() else np.inf
         bias = float((b_lo + b_up) / 2.0)
 
-    return SvmModel(alpha, bias, y.astype(np.int64), float(C), gram.row_ids, iteration, converged)
+    return SvmModel(alpha, bias, y.astype(np.int64), C, gram.row_ids, iteration, converged)
 
 
 def decision_values(model: SvmModel, cross_gram: GramMatrix) -> np.ndarray:

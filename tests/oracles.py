@@ -3,8 +3,11 @@
 These deliberately avoid the package's fast paths: the circuit oracle
 multiplies explicit 2^n x 2^n gate matrices, and the QP oracle solves the
 SVM dual by projected gradient ascent.  Keep them simple and slow.
+``reference_smo`` is the plain SMO loop that ``qkslab.svm.train`` must
+reproduce bit for bit.
 """
 import itertools
+import warnings
 from math import cos, sin
 
 import numpy as np
@@ -119,3 +122,72 @@ def solve_dual_exhaustive(K: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
         if w > best_w:
             best_w, best_alpha = w, alpha
     return best_alpha
+
+
+_SMO_TAU = 1e-12
+_SMO_MAX_ITER = 1_000_000
+
+
+def reference_smo(K: np.ndarray, y: np.ndarray, C: float, tol: float, callback=None):
+    """The SMO loop written plainly: the criterion, both working-set masks and
+    both masked candidate vectors are recomputed with ``np.where`` each step,
+    and columns of K are read.  Returns ``(alphas, bias, n_iter, converged)``.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n = y.shape[0]
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # gradient of (1/2) a^T Q a - sum(a), Q_ij = y_i y_j K_ij
+    pos = y > 0
+    warned_indefinite = False
+    converged = False
+    iteration = 0
+
+    for iteration in range(1, _SMO_MAX_ITER + 1):
+        crit = -y * grad
+        up = np.where(pos, alpha < C, alpha > 0)
+        low = np.where(pos, alpha > 0, alpha < C)
+        i = int(np.where(up, crit, -np.inf).argmax())
+        j = int(np.where(low, crit, np.inf).argmin())
+        violation = crit[i] - crit[j]
+        if violation <= tol:
+            converged = True
+            break
+
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if quad <= 0:
+            if not warned_indefinite:
+                warnings.warn("gram matrix is not positive semidefinite; "
+                              "clamping SMO steps to the box", RuntimeWarning, stacklevel=2)
+                warned_indefinite = True
+            quad = _SMO_TAU
+        t_room_i = C - alpha[i] if pos[i] else alpha[i]
+        t_room_j = alpha[j] if pos[j] else C - alpha[j]
+        t = min(violation / quad, t_room_i, t_room_j)
+
+        new_i = alpha[i] + y[i] * t
+        new_j = alpha[j] - y[j] * t
+        if t == t_room_i:  # land exactly on the box boundary
+            new_i = C if pos[i] else 0.0
+        if t == t_room_j:
+            new_j = 0.0 if pos[j] else C
+        grad += y * (y[i] * K[:, i]) * (new_i - alpha[i])
+        grad += y * (y[j] * K[:, j]) * (new_j - alpha[j])
+        alpha[i], alpha[j] = new_i, new_j
+        if callback is not None:
+            callback(iteration, 0.5 * float(alpha @ (1.0 - grad)))
+    if not converged:
+        warnings.warn(f"SMO did not reach tol={tol} within {_SMO_MAX_ITER} iterations",
+                      RuntimeWarning, stacklevel=2)
+
+    margins = K @ (alpha * y)  # decision values without bias
+    free = (alpha > 0) & (alpha < C)
+    if free.any():
+        bias = float(np.mean(y[free] - margins[free]))
+    else:
+        cand = y - margins
+        lower = ((y > 0) & (alpha == 0)) | ((y < 0) & (alpha == C))
+        upper = ((y > 0) & (alpha == C)) | ((y < 0) & (alpha == 0))
+        b_lo = cand[lower].max() if lower.any() else -np.inf
+        b_up = cand[upper].min() if upper.any() else np.inf
+        bias = float((b_lo + b_up) / 2.0)
+    return alpha, bias, iteration, converged

@@ -159,6 +159,17 @@ def test_psd_clip_examples():
         psd_clip(GramMatrix(np.ones((2, 3)), ("a", "b"), ("x", "y", "z"), cfg, False))
 
 
+def test_symmetric_gram_must_be_exactly_symmetric():
+    # SMO reads rows of a training gram in place of its columns
+    rng = np.random.default_rng(13)
+    ids = ("a", "b", "c", "d")
+    values = gram_matrix(rng.normal(size=(4, 2)), None, rbf_config(gamma=0.5)).values.copy()
+    GramMatrix(values, ids, ids, rbf_config(gamma=0.5), True)
+    values[1, 2] = np.nextafter(values[1, 2], 2.0)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        GramMatrix(values, ids, ids, rbf_config(gamma=0.5), True)
+
+
 def test_shots_mode_clips_by_default():
     rng = np.random.default_rng(12)
     X = rng.uniform(0, pi, size=(6, 2))

@@ -5,10 +5,11 @@ from math import pi
 import numpy as np
 import pytest
 
+from qkslab import svm
 from qkslab.kernels import GramMatrix, gram_matrix, gram_pair, quantum_config, rbf_config
 from qkslab.svm import decision_values, predict, train
 
-from oracles import solve_dual_exhaustive, svm_dual_objective
+from oracles import reference_smo, solve_dual_exhaustive, svm_dual_objective
 
 
 def _sym_gram(values: np.ndarray) -> GramMatrix:
@@ -98,14 +99,18 @@ def test_training_is_bit_reproducible():
     assert a.bias == b.bias and a.n_iter == b.n_iter
 
 
-def test_objective_is_monotone_and_indefinite_gram_warns():
+def _indefinite_4x4() -> np.ndarray:
     values = np.array([
         [1.0, 0.9, -0.5, 0.2],
         [0.9, 1.0, 0.3, -0.4],
         [-0.5, 0.3, 1.0, 0.8],
         [0.2, -0.4, 0.8, 1.0],
     ])
-    values = values - 0.6 * np.eye(4)  # push an eigenvalue negative
+    return values - 0.6 * np.eye(4)  # push an eigenvalue negative
+
+
+def test_objective_is_monotone_and_indefinite_gram_warns():
+    values = _indefinite_4x4()
     history = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -181,3 +186,100 @@ def test_separable_toy_set_is_memorized():
     model = train(train_g, y, C=10.0)
     assert np.array_equal(predict(model, cross_g), y)
 
+
+
+def _labels(rng, n):
+    y = rng.choice([-1.0, 1.0], size=n)
+    y[:2] = (1.0, -1.0)
+    return y
+
+
+def _psd_case(C):
+    def case():
+        rng = np.random.default_rng(71)
+        return _random_psd(rng, 30), _labels(rng, 30), C
+    return case
+
+
+def _rbf_case():
+    rng = np.random.default_rng(72)
+    X = rng.normal(size=(40, 5))
+    return gram_matrix(X, None, rbf_config(gamma=0.2)).values, _labels(rng, 40), 1.0
+
+
+def _zz_case():
+    rng = np.random.default_rng(73)
+    X = rng.uniform(0, pi, size=(24, 3))
+    return gram_matrix(X, None, quantum_config("zz", 3)).values, _labels(rng, 24), 1.0
+
+
+def _shots_case():
+    rng = np.random.default_rng(74)
+    X = rng.uniform(0, pi, size=(30, 3))
+    cfg = quantum_config("yyy", 3, 1, shots=64, master_seed=5)
+    clipped = gram_matrix(X, None, cfg).values
+    assert not np.array_equal(clipped, gram_matrix(X, None, cfg, clip=False).values)
+    return clipped, _labels(rng, 30), 1.0
+
+
+def _indefinite_case():
+    return _indefinite_4x4(), np.array([1.0, -1.0, 1.0, -1.0]), 1.0
+
+
+def _duplicate_rows_case():
+    rng = np.random.default_rng(75)
+    idx = np.array([0, 1, 2, 3, 0, 4, 1, 5, 2, 0, 6, 7])
+    K = _random_psd(rng, 8)[np.ix_(idx, idx)]
+    y = _labels(rng, 8)[idx]  # duplicates share a label, so their criteria tie
+    return K, y, 1.0
+
+
+def _all_at_bound_case():
+    rng = np.random.default_rng(79)  # eight labels of each class: every alpha ends at C
+    return _random_psd(rng, 16), _labels(rng, 16), 1e-3
+
+
+@pytest.mark.parametrize("case", [
+    _psd_case(0.5), _psd_case(1.0), _psd_case(10.0), _rbf_case, _zz_case, _shots_case,
+    _indefinite_case, _duplicate_rows_case, _all_at_bound_case,
+], ids=["psd-C0.5", "psd-C1", "psd-C10", "rbf", "zz-F3", "shots-clipped", "indefinite",
+        "duplicate-rows", "C1e-3-all-at-bound"])
+def test_smo_matches_reference_loop_bitwise(case):
+    K, y, C = case()
+    got_history, ref_history = [], []
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        model = train(_sym_gram(K), y, C=C, callback=lambda it, w: got_history.append((it, w)))
+    with warnings.catch_warnings(record=True) as ref_warnings:
+        warnings.simplefilter("always")
+        alphas, bias, n_iter, converged = reference_smo(
+            K, y, C, 1e-3, callback=lambda it, w: ref_history.append((it, w)))
+    assert model.alphas.tobytes() == alphas.tobytes()
+    assert model.bias == bias
+    assert model.n_iter == n_iter and model.converged == converged
+    assert got_history == ref_history
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in ref_warnings]
+    if C == 1e-3:  # the bias comes from the empty-free-set branch
+        assert not np.any((alphas > 0) & (alphas < C))
+
+
+def test_nonconvergence_warns_once_and_reports_it(monkeypatch):
+    rng = np.random.default_rng(81)
+    K, y = _random_psd(rng, 12), _labels(rng, 12)
+    monkeypatch.setattr(svm, "_MAX_ITER", 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = train(_sym_gram(K), y, C=1.0)
+    assert model.converged is False and model.n_iter == 3
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(runtime) == 1 and "SMO did not reach tol" in runtime[0]
+
+
+def test_indefinite_gram_warns_once_per_call():
+    gram = _sym_gram(_indefinite_4x4())
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            train(gram, [1, -1, 1, -1], C=1.0)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1 and "not positive semidefinite" in messages[0]
