@@ -17,23 +17,23 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (DEFAULT_DAYS, DEFAULT_FEATURES, ingest, label_direction, read_dataset,
-                   synthetic_dataset, write_dataset)
+from .data import (DEFAULT_DAYS, DEFAULT_FEATURES, DEFAULT_SPLIT_RATIO, ingest, label_direction,
+                   read_dataset, synthetic_dataset, write_dataset)
 from .documents import check_format, read_json, write_csv, write_json
-from .experiment import (ConfigPoint, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES, ExperimentError,
-                         RESULT_FORMATS, ptri, ptri_to_doc, result_table_rows,
+from .experiment import (ConfigPoint, DEFAULT_BINS, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES,
+                         ExperimentError, RESULT_FORMATS, ptri, ptri_to_doc, result_table_rows,
                          run_sweep, sweep_from_doc, sweep_to_doc, trial, variability_study,
                          variability_to_doc, write_table)
-from .feature_maps import PRESETS
+from .feature_maps import DEFAULT_REPETITIONS, PRESETS
 from .kernels import SHOT_CAP, gram_matrix, quantum_config, rbf_config, resolve_gamma, write_gram
 from .resources import TABLE_HEADER, verification_table
+from .svm import DEFAULT_C, DEFAULT_TOL
 
 MANIFEST_FORMAT = "qkslab-manifest"
 MANIFEST_VERSION = "1.0"
 _MANIFEST_FIELDS = {"command": str, "arguments": dict, "inputs": dict, "outputs": dict}
 
 KERNEL_CHOICES = (*PRESETS, "rbf")
-REPS = 2  # --reps default
 
 
 class CliError(RuntimeError):
@@ -79,7 +79,7 @@ def _kernels(args, names) -> list:
     for flag, unused, needs in (
             ("--gamma", args.gamma is not None and "rbf" not in names, "an rbf kernel"),
             ("--mode shots", shots and not quantum, "a quantum kernel"),
-            ("--reps", args.reps != REPS and not quantum, "a quantum kernel"),
+            ("--reps", args.reps != DEFAULT_REPETITIONS and not quantum, "a quantum kernel"),
             ("--shots", args.shots != SHOT_CAP and not shots, "--mode shots"),
             ("--allow-overshoot", args.allow_overshoot and not shots, "--mode shots")):
         if unused:
@@ -150,7 +150,7 @@ def cmd_kernel(args) -> int:
     config = resolve_gamma(trial_kernels[args.map], train_ds.X)
     if args.rows == "train":
         gram = gram_matrix(train_ds.X, None, config, row_ids=train_ds.ids,
-                           clip=False if args.no_psd_clip else None)
+                           clip=not args.no_psd_clip)
     else:
         gram = gram_matrix(test_ds.X, train_ds.X, config,
                            row_ids=test_ds.ids, col_ids=train_ds.ids)
@@ -266,8 +266,13 @@ def cmd_replay(args) -> int:
 
 # --- argument parsing -------------------------------------------------------------
 
-def _add_kernel_flags(sub) -> None:
-    sub.add_argument("--reps", type=int, default=REPS, help="feature-map repetitions (default 2)")
+def _add_trial_flags(sub) -> None:
+    """The inputs of ``experiment.trial``: dataset, master seed, split and kernel templates."""
+    sub.add_argument("--dataset", required=True)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--split-ratio", type=float, default=DEFAULT_SPLIT_RATIO)
+    sub.add_argument("--reps", type=int, default=DEFAULT_REPETITIONS,
+                     help="feature-map repetitions (default %(default)s)")
     sub.add_argument("--mode", choices=("exact", "shots"), default="exact")
     sub.add_argument("--shots", type=int, default=SHOT_CAP)
     sub.add_argument("--gamma", type=float, default=None,
@@ -277,8 +282,14 @@ def _add_kernel_flags(sub) -> None:
 
 
 def _add_svm_flags(sub) -> None:
-    sub.add_argument("--c", type=float, default=1.0, help="soft-margin C (default 1.0)")
-    sub.add_argument("--tol", type=float, default=1e-3, help="SMO stopping tolerance")
+    sub.add_argument("--c", type=float, default=DEFAULT_C, help="soft-margin C (default %(default)s)")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="SMO stopping tolerance (default %(default)s)")
+
+
+def _add_result_flags(sub) -> None:
+    sub.add_argument("--out", required=True)
+    sub.add_argument("--table", default=None, help="also write a flat CSV of the records")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,32 +310,25 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_ingest)
 
     s = subs.add_parser("kernel", help="compute and save a Gram matrix")
-    s.add_argument("--dataset", required=True)
+    _add_trial_flags(s)
     s.add_argument("--features", type=int, required=True)
     s.add_argument("--rows", choices=("train", "test"), default="train")
     s.add_argument("--size", type=int, default=None, help="subset size (default: whole dataset)")
-    s.add_argument("--split-ratio", type=float, default=0.7)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--no-psd-clip", action="store_true",
                    help="skip eigenvalue clipping for symmetric shots-mode grams")
     s.add_argument("--map", choices=KERNEL_CHOICES, required=True)
-    _add_kernel_flags(s)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_kernel)
 
     s = subs.add_parser("sweep", help="run a (features x size) configuration sweep")
-    s.add_argument("--dataset", required=True)
+    _add_trial_flags(s)
     s.add_argument("--sizes", default=",".join(map(str, DEFAULT_SIZES)))
     s.add_argument("--features", default=",".join(map(str, DEFAULT_FEATURE_COUNTS)))
     s.add_argument("--kernels", default="yyy,rbf", help="comma list from "
                                                         f"{KERNEL_CHOICES}")
     s.add_argument("--trials", type=int, default=10)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--split-ratio", type=float, default=0.7)
-    _add_kernel_flags(s)
     _add_svm_flags(s)
-    s.add_argument("--out", required=True)
-    s.add_argument("--table", default=None, help="also write a flat CSV of per-trial records")
+    _add_result_flags(s)
     s.set_defaults(func=cmd_sweep)
 
     s = subs.add_parser("ptri", help="ruggedness surfaces from a saved sweep")
@@ -334,23 +338,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--selection", choices=("all", "reference"), default="all")
     s.add_argument("--baseline", default=None,
                    help="kernel whose BA picks the reference trials (default: the method)")
-    s.add_argument("--out", required=True)
-    s.add_argument("--table", default=None)
+    _add_result_flags(s)
     s.set_defaults(func=cmd_ptri)
 
     s = subs.add_parser("variability", help="repeated trials at one configuration point")
-    s.add_argument("--dataset", required=True)
+    _add_trial_flags(s)
     s.add_argument("--size", type=int, default=200)
     s.add_argument("--features", type=int, default=5)
     s.add_argument("--kernel", dest="kernel", choices=KERNEL_CHOICES, default="rbf")
     s.add_argument("--trials", type=int, default=200)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--split-ratio", type=float, default=0.7)
-    s.add_argument("--bins", type=int, default=20)
-    _add_kernel_flags(s)
+    s.add_argument("--bins", type=int, default=DEFAULT_BINS)
     _add_svm_flags(s)
-    s.add_argument("--out", required=True)
-    s.add_argument("--table", default=None)
+    _add_result_flags(s)
     s.set_defaults(func=cmd_variability)
 
     s = subs.add_parser("resources", help="closed-form gate counts, checked against built circuits")

@@ -20,6 +20,7 @@ scaling, which each subset fits on its own training split.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
@@ -48,6 +49,8 @@ class RawSeries:
         for name, col in self.columns.items():
             if len(col) != n:
                 raise ValueError(f"column {name!r} has {len(col)} values for {n} dates")
+            if not np.all(np.isfinite(col)):
+                raise ValueError(f"column {name!r} holds a non-finite value")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ValueError("dates must be strictly increasing with no duplicates")
 
@@ -71,9 +74,12 @@ def _parse_date(token: str, where: str) -> date:
 def _parse_number(token: str, where: str) -> float:
     token = token.strip().strip('"').replace(",", "")
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"{where}: unparseable number {token!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: non-finite number {token!r}")
+    return value
 
 
 def _parse_volume(token: str, where: str) -> float:
@@ -182,6 +188,8 @@ class Dataset:
             raise ValueError("inconsistent dataset shapes")
         if not np.all(np.isin(self.y, (-1, 1))):
             raise ValueError("labels must be -1 or +1")
+        if not np.all(np.isfinite(self.X)):
+            raise ValueError("features must be finite numbers")
         if n and (np.all(self.y == 1) or np.all(self.y == -1)):
             warnings.warn("dataset contains a single label class", RuntimeWarning, stacklevel=2)
 
@@ -192,40 +200,30 @@ class Dataset:
 DEFAULT_FEATURES = ("open", "high", "low", "volume", "index_change_lag1",
                     "gold_price", "gold_change")
 DEFAULT_DAYS = 460  # length of a synthetic series
+DEFAULT_SPLIT_RATIO = 0.7  # share of a subset's rows that train
+_SYNTHETIC_START = date(2018, 1, 2)  # first date of both generators' calendars
 
 # Unlagged close-derived columns determine the label; selecting them leaks it.
 _LEAKY_COLUMNS = ("price", "index_change")
 
 
-def derived_columns(series: RawSeries) -> tuple[dict[str, np.ndarray], dict[str, int]]:
-    """Feature catalog and the first row index at which each column is defined."""
+def derived_columns(series: RawSeries) -> dict[str, np.ndarray]:
+    """Feature catalog: the raw columns plus derived ones, NaN in rows where undefined."""
     cols = dict(series.columns)
-    first = {name: 0 for name in cols}
 
     def lag(values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values)
-        out[0] = np.nan
-        out[1:] = values[:-1]
-        return out
+        return np.concatenate(([np.nan], values[:-1]))
 
     if "change_pct" in cols:
         cols["index_change"] = cols["change_pct"]
-        first["index_change"] = 0
         cols["index_change_lag1"] = lag(cols["change_pct"])
-        first["index_change_lag1"] = 1
     if "gold_price" in cols:
-        g = cols["gold_price"]
-        change = np.empty_like(g)
-        change[0] = np.nan
-        change[1:] = (g[1:] - g[:-1]) / g[:-1] * 100.0
-        cols["gold_change"] = change
-        first["gold_change"] = 1
-        cols["gold_change_lag1"] = lag(change)
-        first["gold_change_lag1"] = 2
+        prev = lag(cols["gold_price"])
+        cols["gold_change"] = (cols["gold_price"] - prev) / prev * 100.0
+        cols["gold_change_lag1"] = lag(cols["gold_change"])
     if "price" in cols:
         cols["price_lag1"] = lag(cols["price"])
-        first["price_lag1"] = 1
-    return cols, first
+    return cols
 
 
 def label_direction(series: RawSeries,
@@ -233,14 +231,14 @@ def label_direction(series: RawSeries,
     """Label each row with the close direction from its predecessor.
 
     Row t gets +1 when its close (``price``) exceeds row t-1's, else -1 (ties included); the
-    first row has no predecessor and is dropped, as are any rows where a
-    selected lagged column is not yet defined.
+    first row has no predecessor and is dropped, as are the rows before the first
+    finite value of a selected column (where a lag is not yet defined).
     """
     if "price" not in series.columns:
         raise ValueError("missing close column 'price'")
     if len(series) < 2:
         raise ValueError("need at least two rows to label direction")
-    cols, first = derived_columns(series)
+    cols = derived_columns(series)
     missing = [c for c in feature_columns if c not in cols]
     if missing:
         raise ValueError(f"unknown feature columns {missing}; available: {sorted(cols)}")
@@ -248,7 +246,8 @@ def label_direction(series: RawSeries,
     if leaky:
         warnings.warn(f"columns {leaky} reveal the same-row close; labels become trivial",
                       RuntimeWarning, stacklevel=2)
-    start = max([1] + [first[c] for c in feature_columns])
+    finite = [np.flatnonzero(np.isfinite(cols[c])) for c in feature_columns]
+    start = max([1] + [int(f[0]) if f.size else len(series) for f in finite])
     closes = series.columns["price"]
     labels = np.where(closes[start:] > closes[start - 1:-1], 1, -1).astype(np.int64)
     X = np.column_stack([cols[c][start:] for c in feature_columns])
@@ -290,7 +289,7 @@ class SubsetSpec:
     size: int
     num_features: int
     trial_seed: int
-    split_ratio: float = 0.7
+    split_ratio: float = DEFAULT_SPLIT_RATIO
 
     def __post_init__(self) -> None:
         if self.size < 2:
@@ -378,7 +377,7 @@ def synthetic_raw_series(seed: int, days: int = DEFAULT_DAYS) -> RawSeries:
     highs = np.maximum(opens, closes) * np.exp(spread)
     lows = np.minimum(opens, closes) * np.exp(-spread)
     volume = 2e7 * np.exp(rng.standard_normal(days + 1) * 0.4)
-    dates = _weekdays(date(2018, 1, 2), days)
+    dates = _weekdays(_SYNTHETIC_START, days)
     keep = slice(1, days + 1)  # one warm-up day feeds the first change entry
     return RawSeries(tuple(dates), {
         "price": closes[keep], "open": opens[keep], "high": highs[keep], "low": lows[keep],
@@ -436,7 +435,7 @@ def synthetic_dataset(seed: int, days: int = DEFAULT_DAYS,
 
 def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
                               informative: int = 5, anchors: int = 24) -> Dataset:
-    """Binary dataset whose labels are realizable by a Y+YY kernel machine.
+    """Binary dataset whose labels are realizable by a yyy kernel machine at default repetitions.
 
     Labels come from the sign of a signed sum of fidelity-kernel bumps
     around random anchor points, thresholded at its median, over the first
@@ -454,7 +453,7 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
     base = rng.uniform(0.0, pi, size=(pool, informative))
     anchor_x = rng.uniform(0.0, pi, size=(anchors, informative))
     coeff = np.where(np.arange(anchors) % 2 == 0, 1.0, -1.0)
-    score = gram_matrix(base, anchor_x, quantum_config("yyy", informative, 2)).values @ coeff
+    score = gram_matrix(base, anchor_x, quantum_config("yyy", informative)).values @ coeff
     margin = score - np.median(score)
     pos_idx = np.flatnonzero(margin > 0)
     neg_idx = np.flatnonzero(margin <= 0)
@@ -471,7 +470,7 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
     labels = np.where(margin[picked] > 0, 1, -1).astype(np.int64)
     names = tuple(f"x{i}" for i in range(num_features))
     ids = tuple(f"r{i:04d}" for i in range(rows))
-    dates = tuple(_weekdays(date(2018, 1, 2), rows))
+    dates = tuple(_weekdays(_SYNTHETIC_START, rows))
     return Dataset(names, ids, dates, X, labels)
 
 

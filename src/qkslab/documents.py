@@ -2,7 +2,9 @@
 
 A dataset, Gram, sweep, PTRI, variability or manifest file is a JSON object
 with a ``format`` tag and a ``version``, written with sorted keys so reruns are
-byte-identical; ``read_json`` refuses another tag or major version and names the file.
+byte-identical, and as strict JSON: writing a NaN or infinity is a ValueError.
+``read_json`` refuses the ``NaN`` and ``Infinity`` tokens, another tag or major
+version, and names the file.
 """
 import csv
 import json
@@ -11,7 +13,7 @@ from contextlib import contextmanager
 
 def write_json(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -32,11 +34,15 @@ def check_format(doc, formats: dict[str, str], where) -> str:
     return kind
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def read_json(path, formats: dict[str, str]) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            doc = json.load(fh, parse_constant=_refuse_constant)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, NaN and Infinity tokens
             raise ValueError(f"{path}: not a JSON document ({exc})") from None
     check_format(doc, formats, path)
     return doc

@@ -14,15 +14,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, SubsetSpec, sample_subset, scale_split
+from .data import DEFAULT_SPLIT_RATIO, Dataset, SubsetSpec, sample_subset, scale_split
 from .documents import check_format, fields, write_csv
 from .kernels import KernelConfig, config_to_doc, gram_pair, resolve_gamma
 from .metrics import balanced_accuracy, confusion, f1
 from .seeding import mix64
-from .svm import predict, train
+from .svm import DEFAULT_C, DEFAULT_TOL, predict, train
 
 DEFAULT_SIZES = (200, 250, 300, 350, 400)
 DEFAULT_FEATURE_COUNTS = (5, 6, 7)
+DEFAULT_BINS = 20  # variability histogram bins
 
 
 class ExperimentError(RuntimeError):
@@ -109,16 +110,23 @@ def evaluate_kernels_on_subset(train_ds: Dataset, test_ds: Dataset, kernels: dic
     return out
 
 
-def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
-              split_ratio: float = 0.7, svm_c: float = 1.0, svm_tol: float = 1e-3) -> SweepResult:
-    """Evaluate every kernel at every (config, trial) on shared subsets."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def _unique_grid(configs) -> tuple[ConfigPoint, ...]:
+    """The grid points, each (F, N) listed once: a repeated one would hold two trials per index."""
     configs = tuple(ConfigPoint(c.features, c.size) if isinstance(c, ConfigPoint) else ConfigPoint(*c)
                     for c in configs)
     repeated = sorted({(c.features, c.size) for c in configs if configs.count(c) > 1})
     if repeated:
         raise ValueError(f"grid points (F, N) must be unique; repeated: {repeated}")
+    return configs
+
+
+def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
+              split_ratio: float = DEFAULT_SPLIT_RATIO, svm_c: float = DEFAULT_C,
+              svm_tol: float = DEFAULT_TOL) -> SweepResult:
+    """Evaluate every kernel at every (config, trial) on shared subsets."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    configs = _unique_grid(configs)
     kernel_map = {k.name: k for k in kernels}
     if len(kernel_map) != len(kernels):
         raise ValueError("kernel names must be unique")
@@ -270,8 +278,9 @@ class VariabilityResult:
 
 
 def variability_study(ds: Dataset, config: ConfigPoint, kernel: KernelConfig, trials: int,
-                      master_seed: int, split_ratio: float = 0.7, svm_c: float = 1.0,
-                      svm_tol: float = 1e-3, bins: int = 20) -> VariabilityResult:
+                      master_seed: int, split_ratio: float = DEFAULT_SPLIT_RATIO,
+                      svm_c: float = DEFAULT_C, svm_tol: float = DEFAULT_TOL,
+                      bins: int = DEFAULT_BINS) -> VariabilityResult:
     """Repeat subset-train-test cycles and summarize the BA distribution.
 
     The trials are those of a one-point, one-kernel ``run_sweep``.
@@ -333,16 +342,18 @@ def sweep_from_doc(doc: dict, where="document") -> SweepResult:
         kernels = {k["name"]: k for k in doc["kernels"]}
         if len(kernels) != len(doc["kernels"]):
             raise ValueError("kernel names must be unique")
+        configs = _unique_grid(doc["configs"])
         for cell in doc["cells"]:
             key = (cell["features"], cell["size"], cell["kernel"])
-            if len(cell["records"]) != doc["trials"] or not cell["records"]:
-                raise ValueError(f"cell {key} holds {len(cell['records'])} records "
-                                 f"for {doc['trials']} trials")
+            trials = [r["trial"] for r in cell["records"]]
+            if trials != list(range(doc["trials"])) or not trials:
+                raise ValueError(f"cell {key} holds trials {trials} for {doc['trials']} trials")
             if cell["kernel"] not in kernels:
                 raise ValueError(f"cell {key} names a kernel the sweep does not list")
+            if ConfigPoint(*key[:2]) not in configs or key in cells:
+                raise ValueError(f"cell {key} is off the sweep's grid or listed twice")
             cells[key] = [TrialRecord(r["trial"], r["trial_seed"], r["balanced_accuracy"],
                                       r["f1"], r["fingerprint"]) for r in cell["records"]]
-        configs = tuple(ConfigPoint(f, n) for f, n in doc["configs"])
         missing = [(c.features, c.size, k) for c in configs for k in kernels
                    if (c.features, c.size, k) not in cells]
         if missing:

@@ -19,6 +19,7 @@ import numpy as np
 from .circuits import Circuit, Gate, cx, dag_depth, h, p, rx
 
 PAULI_LAYERS = ("Z", "ZZ", "Y", "YY")
+DEFAULT_REPETITIONS = 2
 
 # Built-in map presets, keyed by the names the CLI accepts.
 PRESETS: dict[str, tuple[str, ...]] = {
@@ -34,7 +35,7 @@ PRESETS: dict[str, tuple[str, ...]] = {
 class FeatureMapSpec:
     pauli_layers: tuple[str, ...]
     num_features: int
-    repetitions: int = 2
+    repetitions: int = DEFAULT_REPETITIONS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pauli_layers", tuple(self.pauli_layers))
@@ -51,7 +52,8 @@ class FeatureMapSpec:
             raise ValueError("two-qubit layers require num_features >= 2")
 
     @staticmethod
-    def from_preset(name: str, num_features: int, repetitions: int = 2) -> "FeatureMapSpec":
+    def from_preset(name: str, num_features: int,
+                    repetitions: int = DEFAULT_REPETITIONS) -> "FeatureMapSpec":
         try:
             layers = PRESETS[name]
         except KeyError:

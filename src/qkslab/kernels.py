@@ -15,13 +15,14 @@ kernel (``config_to_doc``), the map's feature count, ids and exact values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuits import adjoint, compose
 from .documents import fields, read_json, write_json
-from .feature_maps import FeatureMapSpec, build_feature_map
+from .feature_maps import DEFAULT_REPETITIONS, FeatureMapSpec, build_feature_map
 from .seeding import mix64
 from .simulator import sample_zero_count, simulate, zero_probability
 
@@ -52,15 +53,15 @@ class KernelConfig:
             raise ValueError("gamma applies to the rbf kernel only")
         if self.feature_map is None and self.shots is not None:
             raise ValueError("rbf kernel supports exact mode only")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be a finite positive number, got {self.gamma}")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots mode requires shots >= 1")
         if not self.name:
             raise ValueError("kernel config needs a name")
 
 
-def quantum_config(preset: str, num_features: int, repetitions: int = 2,
+def quantum_config(preset: str, num_features: int, repetitions: int = DEFAULT_REPETITIONS,
                    shots: int | None = None, master_seed: int = 0,
                    allow_overshoot: bool = False) -> KernelConfig:
     """A preset's kernel, in shots mode when ``shots`` is given (over ``SHOT_CAP`` with ``allow_overshoot``)."""
@@ -90,18 +91,19 @@ def resolve_gamma(config: KernelConfig, train_x: np.ndarray) -> KernelConfig:
     return config
 
 
-def quantum_kernel_entry(spec: FeatureMapSpec, x: np.ndarray, y: np.ndarray, mode: str = "exact",
+def quantum_kernel_entry(spec: FeatureMapSpec, x: np.ndarray, y: np.ndarray,
                          shots: int | None = None, entry_seed: int = 0) -> float:
+    """One kernel entry from its own circuits, in shots mode when ``shots`` is given."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != (spec.num_features,) or y.shape != (spec.num_features,):
         raise ValueError("feature vectors must match the map's feature count")
-    if mode == "exact":
+    if shots is None:
         sx = simulate(build_feature_map(spec, x)).amplitudes
         sy = simulate(build_feature_map(spec, y)).amplitudes
         overlap = np.vdot(sy, sx)
         return float(overlap.real**2 + overlap.imag**2)
-    if shots is None or shots < 1:
+    if shots < 1:
         raise ValueError("shots mode requires shots >= 1")
     circuit = compose(build_feature_map(spec, x), adjoint(build_feature_map(spec, y)))
     return sample_zero_count(zero_probability(simulate(circuit)), shots, entry_seed) / shots
@@ -198,14 +200,14 @@ def _points(config: KernelConfig, rows: np.ndarray,
 
 
 def _gram(config: KernelConfig, rows: np.ndarray, cols: np.ndarray | None,
-          row_ids, col_ids, clip: bool | None) -> GramMatrix:
+          row_ids, col_ids, clip: bool) -> GramMatrix:
     """Kernel values between ``_points``: range-checked, sampled in shots mode, labelled, clipped."""
     symmetric = cols is None
     if config.kind == "rbf":
         values = _rbf_values(config.gamma, rows, cols)
     else:
         values = _exact_quantum_values(rows, cols)
-    if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
+    if not (-1e-9 <= values.min() and values.max() <= 1.0 + 1e-9):
         raise AssertionError("kernel values escaped [0, 1]")
     if config.mode == "shots":
         values = _shots_quantum_values(config, values, symmetric)
@@ -215,32 +217,29 @@ def _gram(config: KernelConfig, rows: np.ndarray, cols: np.ndarray | None,
     else:
         col_ids = tuple(col_ids) if col_ids is not None else tuple(str(j) for j in range(values.shape[1]))
     gram = GramMatrix(values, row_ids, col_ids, config, symmetric)
-    if clip is None:
-        clip = symmetric and config.mode == "shots"
-    return psd_clip(gram) if clip else gram
+    return psd_clip(gram) if clip and symmetric and config.mode == "shots" else gram
 
 
 def gram_matrix(rows: np.ndarray, cols: np.ndarray | None, config: KernelConfig,
                 row_ids: tuple[str, ...] | None = None, col_ids: tuple[str, ...] | None = None,
-                clip: bool | None = None) -> GramMatrix:
+                clip: bool = True) -> GramMatrix:
     """Assemble the kernel matrix rows x cols (cols=None means symmetric).
 
-    ``clip`` controls eigenvalue clipping of symmetric results; the default
-    applies it in shots mode only, where sampling noise can break positive
-    semidefiniteness.
+    A symmetric shots-mode result, whose sampling noise can break positive
+    semidefiniteness, is eigenvalue-clipped unless ``clip`` is False.
     """
     return _gram(config, *_points(config, rows, cols), row_ids, col_ids, clip)
 
 
 def gram_pair(train_x: np.ndarray, test_x: np.ndarray, config: KernelConfig,
               train_ids: tuple[str, ...] | None = None, test_ids: tuple[str, ...] | None = None,
-              clip: bool | None = None) -> tuple[GramMatrix, GramMatrix]:
+              clip: bool = True) -> tuple[GramMatrix, GramMatrix]:
     """Train gram (``clip`` as in ``gram_matrix``) and test-by-train cross gram, one state per sample."""
     test, train = _points(config, test_x, train_x)
     train_ids = tuple(train_ids) if train_ids is not None else tuple(f"t{i}" for i in range(train.shape[0]))
     test_ids = tuple(test_ids) if test_ids is not None else tuple(f"s{i}" for i in range(test.shape[0]))
     return (_gram(config, train, None, train_ids, None, clip),
-            _gram(config, test, train, test_ids, train_ids, None))
+            _gram(config, test, train, test_ids, train_ids, clip))
 
 
 def psd_clip(gram: GramMatrix) -> GramMatrix:

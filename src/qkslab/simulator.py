@@ -67,13 +67,6 @@ def _apply_inplace(state: np.ndarray, gate: Gate, num_qubits: int) -> None:
         t[hi] = tmp
 
 
-def apply_gate(amplitudes: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    """Pure single-gate application; returns a fresh amplitude array."""
-    out = np.array(amplitudes, dtype=np.complex128, copy=True)
-    _apply_inplace(out, gate, num_qubits)
-    return out
-
-
 def simulate(circuit: Circuit) -> Statevector:
     """Run the circuit on |0...0> and return the final state."""
     n = circuit.num_qubits
@@ -84,7 +77,7 @@ def simulate(circuit: Circuit) -> Statevector:
     for gate in circuit.gates:
         _apply_inplace(state, gate, n)
     norm = float(np.sum(state.real**2 + state.imag**2))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ArithmeticError(f"statevector norm drifted to {norm}")
     return Statevector(n, state)
 

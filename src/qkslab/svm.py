@@ -14,6 +14,7 @@ bit-identical to the plain loop ``tests/oracles.reference_smo``.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,8 @@ import numpy as np
 
 from .kernels import GramMatrix
 
+DEFAULT_C = 1.0
+DEFAULT_TOL = 1e-3
 _TAU = 1e-12  # curvature floor when the gram is indefinite
 _MAX_ITER = 1_000_000
 
@@ -46,7 +49,7 @@ class SvmModel:
         return np.flatnonzero(self.alphas > 1e-12)
 
 
-def train(gram: GramMatrix, labels, C: float = 1.0, tol: float = 1e-3,
+def train(gram: GramMatrix, labels, C: float = DEFAULT_C, tol: float = DEFAULT_TOL,
           callback=None) -> SvmModel:
     """Fit the dual on a symmetric training gram.
 
@@ -63,10 +66,9 @@ def train(gram: GramMatrix, labels, C: float = 1.0, tol: float = 1e-3,
         raise ValueError("labels must be -1 or +1")
     if np.all(y > 0) or np.all(y < 0):
         raise ValueError("single-class labels: both classes must be present")
-    if C <= 0:
-        raise ValueError("C must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    for name, value in (("C", C), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
 
     C = float(C)
     K = gram.values

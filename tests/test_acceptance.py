@@ -103,7 +103,7 @@ def test_kernel_correctness():
         if 0.05 <= exact <= 0.95:  # keep the standard error well defined
             entries.append((x, y, exact))
     for idx, (x, y, exact) in enumerate(entries):
-        estimates = [quantum_kernel_entry(pair_spec, x, y, "shots", shots,
+        estimates = [quantum_kernel_entry(pair_spec, x, y, shots=shots,
                                           entry_seed=idx * 100_000 + s)
                      for s in range(n_seeds)]
         se = sqrt(exact * (1.0 - exact) / (shots * n_seeds))

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface and its manifests."""
 import argparse
 import hashlib
+import inspect
 import json
+import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,13 @@ import pytest
 
 from qkslab import __version__
 from qkslab.cli import build_parser, main
+from qkslab.data import DEFAULT_SPLIT_RATIO, SubsetSpec
+from qkslab.experiment import DEFAULT_BINS, run_sweep, variability_study
+from qkslab.feature_maps import DEFAULT_REPETITIONS
+from qkslab.kernels import quantum_config
+from qkslab.svm import DEFAULT_C, DEFAULT_TOL, train
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _run(argv, capsys):
@@ -274,10 +284,16 @@ _SWEEP_DOC = {"format": "qkslab-sweep", "version": "1.0", "master_seed": 0, "tri
               "cells": [{"features": 2, "size": 30, "kernel": "rbf", "records": []}]}
 
 
-def _cell(kernel: str) -> dict:
-    return {"features": 2, "size": 30, "kernel": kernel,
-            "records": [{"trial": 0, "trial_seed": 1, "balanced_accuracy": 0.5, "f1": 0.5,
-                         "fingerprint": "x"}]}
+def _cell(kernel: str, features: int = 2, trials=(0,), score=0.5) -> dict:
+    return {"features": features, "size": 30, "kernel": kernel,
+            "records": [{"trial": t, "trial_seed": 1, "balanced_accuracy": score, "f1": 0.5,
+                         "fingerprint": "x"} for t in trials]}
+
+
+def _dataset_doc(value) -> dict:
+    return {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"],
+            "rows": [{"id": "a", "date": "2018-01-02", "features": [0.5], "label": 1},
+                     {"id": "b", "date": "2018-01-03", "features": [value], "label": -1}]}
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -286,9 +302,18 @@ def _cell(kernel: str) -> dict:
     ("ptri", {**_SWEEP_DOC, "cells": []}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf"), _cell("yyy")]}),
     ("ptri", {**_SWEEP_DOC, "kernels": [{"name": "rbf"}] * 2, "cells": [_cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "configs": [[2, 30], [2, 30]], "cells": [_cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf"), _cell("rbf", features=3)]}),
+    ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf"), _cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "trials": 2, "cells": [_cell("rbf", trials=(0, 0))]}),
+    ("ptri", {**_SWEEP_DOC, "trials": 2, "cells": [_cell("rbf", trials=(1, 0))]}),
+    ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
+    ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0", "x1"]}),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"],
                "rows": [{"id": "r1", "date": "2018-13-01", "features": [0.5], "label": 1}]}),
+    ("sweep", _dataset_doc(float("nan"))),
+    ("sweep", _dataset_doc(float("-inf"))),
     ("report", []),
     ("ptri", []),
     ("sweep", []),
@@ -296,8 +321,10 @@ def _cell(kernel: str) -> dict:
     ("ptri", "not json"),
     ("report", "not json"),
 ], ids=["sweep-without-kernels", "cell-without-records", "sweep-without-cells",
-        "cell-of-unlisted-kernel", "kernel-listed-twice",
-        "dataset-without-rows", "dataset-bad-date",
+        "cell-of-unlisted-kernel", "kernel-listed-twice", "grid-point-listed-twice",
+        "cell-off-the-grid", "cell-listed-twice", "trial-index-repeated", "trials-out-of-order",
+        "ptri-nan-score", "report-nan-score",
+        "dataset-without-rows", "dataset-bad-date", "dataset-nan-feature", "dataset-inf-feature",
         "report-list", "ptri-list", "sweep-list",
         "sweep-not-json", "ptri-not-json", "report-not-json"])
 def test_malformed_input_files_are_errors(tmp_path, capsys, command, doc):
@@ -545,7 +572,65 @@ def test_command_lines_whose_files_collide_are_errors(dataset, tmp_path, capsys,
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def test_every_command_has_a_replayed_command_line():
+def _subcommands() -> dict:
     subparsers, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices
+
+
+def test_every_command_has_a_replayed_command_line():
     covered = {line.split()[0] for line in _COMMAND_LINES.values()}
-    assert set(subparsers.choices) - {"replay"} == covered
+    assert set(_subcommands()) - {"replay"} == covered
+
+
+@pytest.mark.parametrize("flags", [["--gamma", "nan"], ["--c", "nan"], ["--c", "inf"],
+                                   ["--tol", "nan"]], ids=["gamma-nan", "c-nan", "c-inf", "tol-nan"])
+def test_non_finite_svm_and_kernel_settings_are_errors(dataset, tmp_path, capsys, flags):
+    out = tmp_path / "sweep.json"
+    start = time.perf_counter()
+    code, _, err = _run(["sweep", "--dataset", str(dataset), "--sizes", "24", "--features", "3",
+                         "--kernels", "rbf", "--trials", "1", *flags, "--out", str(out)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error: ") and "must be a finite positive number" in err
+    assert not out.exists()
+
+
+def _parser_defaults(command) -> dict:
+    return {a.dest: a.default for a in _subcommands()[command]._actions}
+
+
+def _signature_defaults(function) -> dict:
+    return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+
+def test_cli_and_library_defaults_are_the_protocol_constants():
+    for command in ("kernel", "sweep", "variability"):
+        defaults = _parser_defaults(command)
+        assert (defaults["seed"], defaults["split_ratio"]) == (0, DEFAULT_SPLIT_RATIO), command
+        assert defaults["reps"] == DEFAULT_REPETITIONS, command
+    for command in ("sweep", "variability"):
+        defaults = _parser_defaults(command)
+        assert (defaults["c"], defaults["tol"]) == (DEFAULT_C, DEFAULT_TOL), command
+    assert _parser_defaults("variability")["bins"] == DEFAULT_BINS
+    for function in (run_sweep, variability_study):
+        defaults = _signature_defaults(function)
+        assert (defaults["split_ratio"], defaults["svm_c"], defaults["svm_tol"]) == (
+            DEFAULT_SPLIT_RATIO, DEFAULT_C, DEFAULT_TOL)
+    assert _signature_defaults(variability_study)["bins"] == DEFAULT_BINS
+    assert (_signature_defaults(train)["C"], _signature_defaults(train)["tol"]) == (
+        DEFAULT_C, DEFAULT_TOL)
+    assert _signature_defaults(SubsetSpec)["split_ratio"] == DEFAULT_SPLIT_RATIO
+    assert _signature_defaults(quantum_config)["repetitions"] == DEFAULT_REPETITIONS
+
+
+def _walkthrough_commands() -> list[list[str]]:
+    block = README.read_text(encoding="utf-8").split("## CLI walkthrough", 1)[1]
+    block = block.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qkslab ")]
+
+
+def test_readme_walkthrough_parses_with_the_current_flags():
+    commands = _walkthrough_commands()
+    assert {argv[0] for argv in commands} == set(_subcommands())
+    for argv in commands:
+        build_parser().parse_args(argv)  # an unknown or removed flag exits with status 2

@@ -1,4 +1,5 @@
 """Tests for ingestion, labeling, scaling, subsets, and the generators."""
+import re
 import warnings
 from datetime import date
 from math import pi
@@ -11,6 +12,7 @@ from qkslab.data import (DEFAULT_FEATURES, Dataset, ParseError, RawSeries,
                          quantum_separable_dataset, read_dataset, sample_subset, scale_split,
                          synthetic_dataset, synthetic_raw_series, write_dataset,
                          write_synthetic_csvs)
+from qkslab.documents import write_json
 
 
 def _write(path, text):
@@ -104,6 +106,54 @@ def test_duplicate_dates_rejected(tmp_path):
         ingest(idx, gold)
 
 
+_INDEX_ROW = ["01/03/2018", "5,050.00", "5,100.00", "5,110.00", "5,040.00", "1.00M", "-0.98%"]
+
+
+@pytest.mark.parametrize("csv, field, token", [
+    ("index", 1, "nan"), ("index", 2, "inf"), ("index", 3, "-Infinity"), ("index", 5, "NaNM"),
+    ("index", 6, "inf%"), ("gold", 1, "nan"),
+], ids=["price-nan", "open-inf", "high-minus-infinity", "volume-nan", "change-inf", "gold-nan"])
+def test_non_finite_csv_cells_are_refused_with_their_line(tmp_path, csv, field, token):
+    row = list(_INDEX_ROW) if csv == "index" else ["01/03/2018", "1500.00"]
+    row[field] = token
+    bad = '"' + '","'.join(row) + '"\n'
+    idx = _index_csv(tmp_path, [
+        '"01/02/2018","5,100.00","5,090.00","5,120.00","5,080.00","1.20M","0.45%"\n',
+        bad if csv == "index" else '"' + '","'.join(_INDEX_ROW) + '"\n',
+    ])
+    gold = _gold_csv(tmp_path, ['"01/01/2018","1500.00"\n', bad if csv == "gold" else ""])
+    path = idx if csv == "index" else gold
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: non-finite number"):
+        ingest(idx, gold)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_features_are_refused(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        _series([1.0, 2.0], open=[1.0, value])
+    with pytest.raises(ValueError, match="features must be finite"):
+        Dataset(("x0",), ("a", "b"), (date(2018, 1, 2), date(2018, 1, 3)),
+                np.array([[0.5], [value]]), np.array([1, -1]))
+
+
+@pytest.mark.parametrize("token, error", [
+    ("NaN", "{path}: not a JSON document"), ("-Infinity", "{path}: not a JSON document"),
+    ("1e999", "malformed {path}: features must be finite"),  # a float literal that overflows
+])
+def test_dataset_files_with_non_finite_features_are_refused(tmp_path, token, error):
+    path = tmp_path / "ds.json"
+    path.write_text('{"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"], '
+                    '"rows": [{"id": "a", "date": "2018-01-02", "features": [0.5], "label": 1}, '
+                    f'{{"id": "b", "date": "2018-01-03", "features": [{token}], "label": -1}}]}}')
+    with pytest.raises(ValueError, match="^" + re.escape(error.format(path=path))):
+        read_dataset(path)
+
+
+def test_files_are_strict_json(tmp_path):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json({"format": "x", "value": float("nan")}, tmp_path / "doc.json")
+
+
 # --- labeling ---
 
 def _series(closes, **extra):
@@ -153,6 +203,28 @@ def test_lagged_index_change_uses_previous_row():
     series = _series([100.0, 101.0, 99.0], change_pct=[0.1, 1.0, -1.98])
     ds = label_direction(series, feature_columns=("index_change_lag1",))
     np.testing.assert_allclose(ds.X[:, 0], [0.1, 1.0])
+
+
+_RAW = {"open": [10.0, 11.0, 12.0], "high": [11.0, 12.0, 13.0], "low": [9.0, 10.0, 11.0],
+        "volume": [1e6, 2e6, 3e6], "change_pct": [0.5, 1.0, -1.98],
+        "gold_price": [1500.0, 1510.0, 1490.0]}
+_FROM_ROW_1 = [("price",), ("open",), ("high",), ("low",), ("volume",), ("change_pct",),
+               ("gold_price",), ("index_change",), ("index_change_lag1",), ("gold_change",),
+               ("price_lag1",), DEFAULT_FEATURES]
+_FROM_ROW_2 = [("gold_change_lag1",), (*DEFAULT_FEATURES, "gold_change_lag1")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # leaky columns and one-class results
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("columns", _FROM_ROW_1 + _FROM_ROW_2, ids=lambda c: "+".join(c))
+def test_labeling_starts_at_the_first_row_every_selected_column_defines(rows, columns):
+    series = _series([100.0, 101.0, 99.0][:rows], **{k: v[:rows] for k, v in _RAW.items()})
+    ds = label_direction(series, feature_columns=columns)
+    expected = {(2, True): ("r0001",), (3, True): ("r0001", "r0002"),
+                (2, False): (), (3, False): ("r0002",)}[(rows, columns in _FROM_ROW_1)]
+    assert ds.ids == expected
+    assert list(ds.y) == [{"r0001": 1, "r0002": -1}[i] for i in expected]
+    assert ds.X.shape == (len(expected), len(columns))
 
 
 def test_unknown_feature_column_errors():

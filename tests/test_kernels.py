@@ -123,7 +123,7 @@ def test_shots_gram_pair_entries_match_the_circuit_oracle(preset, features):
     train_g, cross_g = gram_pair(train, test, cfg, clip=False)
 
     def oracle(x, y, seed):
-        return quantum_kernel_entry(cfg.feature_map, x, y, "shots", shots, entry_seed=seed)
+        return quantum_kernel_entry(cfg.feature_map, x, y, shots=shots, entry_seed=seed)
 
     for i, j in product(range(5), range(5)):
         seed = mix64(master, min(i, j), max(i, j))
@@ -200,13 +200,19 @@ def test_gram_pair_matches_separate_calls(preset):
     assert cross_g.col_ids == train_g.row_ids
 
 
-def test_gram_pair_clips_the_exact_train_gram_on_request(monkeypatch):
-    clipped = []
-    monkeypatch.setattr(kernels, "psd_clip", lambda gram: clipped.append(gram) or gram)
-    rng = np.random.default_rng(15)
-    train_g, _ = gram_pair(rng.uniform(0, pi, size=(4, 2)), rng.uniform(0, pi, size=(2, 2)),
-                           quantum_config("zz", 2, 1), clip=True)
-    assert clipped == [train_g]
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0])
+def test_rbf_gamma_must_be_finite_and_positive(gamma):
+    with pytest.raises(ValueError, match="gamma must be a finite positive number"):
+        rbf_config(gamma)
+
+
+def test_a_nan_sample_trips_the_value_guards():
+    rows = np.array([[0.1, 0.2]])
+    cols = np.array([[0.3, 0.4], [np.nan, 0.5]])
+    with pytest.raises(AssertionError, match=r"escaped \[0, 1\]"):
+        gram_matrix(rows, cols, rbf_config(gamma=1.0))
+    with pytest.raises(ArithmeticError, match="norm drifted to nan"):
+        gram_matrix(rows, cols, quantum_config("zz", 2, 1))
 
 
 def test_config_validation():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from qkslab.circuits import Circuit, adjoint, compose, cx, h, p, rx
-from qkslab.simulator import (Statevector, apply_gate, sample_zero_count, simulate,
-                              zero_probability)
+from qkslab.simulator import Statevector, sample_zero_count, simulate, zero_probability
 
 from oracles import gate_matrix, random_circuit, simulate_by_matrices
 
@@ -35,10 +34,11 @@ def test_gate_matrix_conventions():
         [[np.cos(theta / 2), -1j * np.sin(theta / 2)],
          [-1j * np.sin(theta / 2), np.cos(theta / 2)]],
     )
-    np.testing.assert_allclose(apply_gate(np.array([1, 0], dtype=complex), rx(theta, 0), 1),
-                               rx_mat @ np.array([1, 0]))
-    p_state = apply_gate(np.array([0, 1], dtype=complex), p(theta, 0), 1)
-    np.testing.assert_allclose(p_state, [0, np.exp(1j * theta)])
+    np.testing.assert_allclose(simulate(Circuit(1, (rx(theta, 0),))).amplitudes,
+                               rx_mat @ np.array([1, 0]), atol=1e-12)
+    # RX(pi)|0> = -i|1>, so P(theta) then gives -i exp(i theta)|1>
+    p_state = simulate(Circuit(1, (rx(pi, 0), p(theta, 0)))).amplitudes
+    np.testing.assert_allclose(p_state, [0, -1j * np.exp(1j * theta)], atol=1e-12)
 
 
 def test_oracle_equivalence_on_random_circuits():
@@ -52,10 +52,8 @@ def test_oracle_equivalence_on_random_circuits():
 def test_norm_preserved_gate_by_gate():
     rng = np.random.default_rng(11)
     c = random_circuit(rng, 4, 60)
-    state = np.zeros(16, dtype=complex)
-    state[0] = 1.0
-    for gate in c.gates:
-        state = apply_gate(state, gate, 4)
+    for k in range(len(c.gates) + 1):
+        state = simulate(Circuit(4, c.gates[:k])).amplitudes
         assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-10
 
 

@@ -37,6 +37,14 @@ def test_two_point_analytic_solution():
     assert list(model.support_indices) == [0, 1]
 
 
+@pytest.mark.parametrize("setting", [{"C": float("nan")}, {"C": float("inf")}, {"C": 0.0},
+                                     {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-3}],
+                         ids=["C-nan", "C-inf", "C-zero", "tol-nan", "tol-inf", "tol-negative"])
+def test_settings_must_be_finite_and_positive(setting):
+    with pytest.raises(ValueError, match="must be a finite positive number"):
+        train(_sym_gram(np.eye(2)), [1, -1], **setting)
+
+
 def test_single_class_is_rejected():
     with pytest.raises(ValueError, match="single-class"):
         train(_sym_gram(np.array([[1.0, 1.0], [1.0, 1.0]])), [1, 1])
