@@ -82,6 +82,14 @@ def _parse_number(token: str, where: str) -> float:
     return value
 
 
+def _parse_price(token: str, where: str) -> float:
+    """A positive number: ``gold_change`` divides by the previous gold price."""
+    value = _parse_number(token, where)
+    if value <= 0:
+        raise ParseError(f"{where}: non-positive price {token.strip()!r}")
+    return value
+
+
 def _parse_volume(token: str, where: str) -> float:
     token = token.strip().strip('"')
     scale = 1.0
@@ -144,7 +152,7 @@ def ingest(index_csv, gold_csv) -> RawSeries:
         ("date", _parse_date), ("price", _parse_number), ("open", _parse_number),
         ("high", _parse_number), ("low", _parse_number), ("vol", _parse_volume),
         ("change", _parse_pct)))
-    gold = _read_dated_rows(gold_csv, (("date", _parse_date), ("price", _parse_number)))
+    gold = _read_dated_rows(gold_csv, (("date", _parse_date), ("price", _parse_price)))
     if not gold:
         raise ParseError(f"{gold_csv}: no data rows")
 

@@ -120,34 +120,40 @@ def _unique_grid(configs) -> tuple[ConfigPoint, ...]:
     return configs
 
 
+def cell(ds: Dataset, point: ConfigPoint, t: int, master_seed: int, split_ratio: float, kernels,
+         svm_c: float, svm_tol: float) -> dict[str, TrialRecord]:
+    """Every kernel's record of trial ``t`` at ``point``, by name, scored on one shared split:
+    a pure function of its arguments, so a sweep's cells may run in any order or process."""
+    try:
+        trial_seed, train_ds, test_ds, trial_kernels = trial(ds, point, t, master_seed,
+                                                             split_ratio, kernels)
+        fingerprint = _subset_fingerprint(train_ds, test_ds)
+        scores = evaluate_kernels_on_subset(train_ds, test_ds, trial_kernels, svm_c, svm_tol)
+    except Exception as exc:
+        raise ExperimentError(
+            f"config (F={point.features}, N={point.size}) trial {t}: {exc}") from exc
+    return {name: TrialRecord(t, trial_seed, ba, f1_score, fingerprint)
+            for name, (ba, f1_score) in scores.items()}
+
+
 def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
               split_ratio: float = DEFAULT_SPLIT_RATIO, svm_c: float = DEFAULT_C,
               svm_tol: float = DEFAULT_TOL) -> SweepResult:
-    """Evaluate every kernel at every (config, trial) on shared subsets."""
+    """Every kernel at every (config, trial) on shared subsets: each ``cell``, in grid order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     configs = _unique_grid(configs)
-    kernel_map = {k.name: k for k in kernels}
-    if len(kernel_map) != len(kernels):
+    kernel_docs = {k.name: config_to_doc(k) for k in kernels}
+    if len(kernel_docs) != len(kernels):
         raise ValueError("kernel names must be unique")
-    cells: dict[tuple[int, int, str], list[TrialRecord]] = {
-        (c.features, c.size, name): [] for c in configs for name in kernel_map
-    }
-    for cfg in configs:
-        for t in range(trials):
-            try:
-                trial_seed, train_ds, test_ds, trial_kernels = trial(
-                    ds, cfg, t, master_seed, split_ratio, kernel_map.values())
-                fingerprint = _subset_fingerprint(train_ds, test_ds)
-                scores = evaluate_kernels_on_subset(train_ds, test_ds, trial_kernels, svm_c, svm_tol)
-            except Exception as exc:
-                raise ExperimentError(
-                    f"config (F={cfg.features}, N={cfg.size}) trial {t}: {exc}") from exc
-            for name, (ba, f1_score) in scores.items():
-                cells[(cfg.features, cfg.size, name)].append(
-                    TrialRecord(t, trial_seed, ba, f1_score, fingerprint))
-    return SweepResult(configs, {name: config_to_doc(k) for name, k in kernel_map.items()},
-                       trials, master_seed, split_ratio, svm_c, svm_tol, cells)
+    cells = {}
+    for point in configs:
+        records = [cell(ds, point, t, master_seed, split_ratio, kernels, svm_c, svm_tol)
+                   for t in range(trials)]
+        for name in kernel_docs:
+            cells[(point.features, point.size, name)] = [r[name] for r in records]
+    return SweepResult(configs, kernel_docs, trials, master_seed, split_ratio, svm_c, svm_tol,
+                       cells)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ from qkslab.feature_maps import DEFAULT_REPETITIONS
 from qkslab.kernels import quantum_config
 from qkslab.svm import DEFAULT_C, DEFAULT_TOL, train
 
+from golden import COMMAND_LINES, command_line, make_inputs
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -349,44 +351,16 @@ def test_ingest_csv_field_over_the_csv_limit_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
-# One command line per manifest-writing command; {d} is the directory of the inputs.
-_COMMAND_LINES = {
-    "ingest-synthetic": "ingest --synthetic 11 --days 70 --out {d}/out.json",
-    "ingest-csv": "ingest --index {d}/i.csv --gold {d}/g.csv --out {d}/out.json",
-    "kernel": "kernel --dataset {d}/ds.json --map zz --features 2 --size 20 --mode shots "
-              "--shots 64 --seed 3 --out {d}/out.gram",
-    "sweep": "sweep --dataset {d}/ds.json --sizes 30 --features 2 --kernels z,rbf --trials 2 "
-             "--seed 8 --out {d}/out.json --table {d}/out.csv",
-    "ptri": "ptri --sweep {d}/sweep.json --methods z,rbf --selection reference "
-            "--out {d}/out.json --table {d}/out.csv",
-    "variability": "variability --dataset {d}/ds.json --size 30 --features 2 --trials 3 "
-                   "--out {d}/out.json --table {d}/out.csv",
-    "resources": "resources --features 2,3 --reps 1 --out {d}/out.csv",
-    "report": "report --input {d}/sweep.json --out {d}/out.csv",
-}
-
-
 @pytest.fixture()
-def run_inputs(tmp_path, capsys):
-    """A dataset, its source CSVs and a sweep file for the command lines above."""
-    from qkslab.data import write_synthetic_csvs
-
-    write_synthetic_csvs(tmp_path / "i.csv", tmp_path / "g.csv", 5, days=60)
-    for argv in (f"ingest --synthetic 11 --days 70 --out {tmp_path}/ds.json",
-                 f"sweep --dataset {tmp_path}/ds.json --sizes 30 --features 2 "
-                 f"--kernels z,rbf --trials 2 --out {tmp_path}/sweep.json"):
-        code, _, err = _run(argv.split(), capsys)
-        assert code == 0, err
+def run_inputs(tmp_path):
+    """A dataset, its source CSVs and a sweep file for the command lines of ``golden``."""
+    make_inputs(tmp_path)
     return tmp_path
 
 
-def _command_line(name, directory):
-    return _COMMAND_LINES[name].format(d=directory).split()
-
-
-@pytest.mark.parametrize("name", list(_COMMAND_LINES))
+@pytest.mark.parametrize("name", list(COMMAND_LINES))
 def test_replay_reproduces_byte_identical_outputs(run_inputs, capsys, name):
-    argv = _command_line(name, run_inputs)
+    argv = command_line(name, run_inputs)
     code, _, err = _run(argv, capsys)
     assert code == 0, err
     manifest_path = argv[argv.index("--out") + 1] + ".manifest.json"
@@ -400,9 +374,9 @@ def test_replay_reproduces_byte_identical_outputs(run_inputs, capsys, name):
     assert {path: _digest(Path(path)) for path in outputs} == before
 
 
-@pytest.mark.parametrize("name", list(_COMMAND_LINES))
+@pytest.mark.parametrize("name", list(COMMAND_LINES))
 def test_manifest_records_every_parsed_argument(run_inputs, capsys, name):
-    argv = _command_line(name, run_inputs)
+    argv = command_line(name, run_inputs)
     code, _, err = _run(argv, capsys)
     assert code == 0, err
     manifest = json.loads(Path(argv[argv.index("--out") + 1] + ".manifest.json").read_text())
@@ -578,7 +552,7 @@ def _subcommands() -> dict:
 
 
 def test_every_command_has_a_replayed_command_line():
-    covered = {line.split()[0] for line in _COMMAND_LINES.values()}
+    covered = {line.split()[0] for line in COMMAND_LINES.values()}
     assert set(_subcommands()) - {"replay"} == covered
 
 

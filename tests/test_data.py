@@ -127,6 +127,21 @@ def test_non_finite_csv_cells_are_refused_with_their_line(tmp_path, csv, field, 
         ingest(idx, gold)
 
 
+@pytest.mark.parametrize("prices, line", [
+    (("0", "1510.00", "1520.00"), 2), (("1500.00", "0.00", "1510.00", "1520.00"), 3),
+    (("1500.00", "-1,510.00", "1520.00"), 3),
+], ids=["zero-first-joined-price", "zero-mid-series", "negative"])
+def test_a_non_positive_gold_price_is_refused_with_its_line(tmp_path, prices, line):
+    # gold_change divides by the previous gold price: a zero there is an infinite feature, and a
+    # zero first joined price would silently start the labels a row late
+    idx = _index_csv(tmp_path, [f'"01/0{day}/2018","5,050.00","5,100.00","5,110.00","5,040.00",'
+                                '"1.00M","-0.98%"\n' for day in range(2, 6)])
+    gold = _gold_csv(tmp_path, [f'"01/0{day}/2018","{price}"\n'
+                                for day, price in enumerate(prices, start=6 - len(prices))])
+    with pytest.raises(ParseError, match=f"^{re.escape(str(gold))}:{line}: non-positive price"):
+        ingest(idx, gold)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_features_are_refused(value):
     with pytest.raises(ValueError, match="non-finite"):

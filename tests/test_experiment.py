@@ -1,16 +1,21 @@
 """Tests for sweeps, reference trials, EQA, PTRI, and the variability study."""
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkslab.data import quantum_separable_dataset, synthetic_dataset
-from qkslab.experiment import (ConfigPoint, SweepResult, TrialRecord,
+from qkslab.experiment import (ConfigPoint, SweepResult, TrialRecord, cell,
                                eqa_difference, mean_std, ptri, ptri_scores,
                                ptri_to_doc, result_table_rows, run_sweep,
                                select_reference_trials, sweep_from_doc, sweep_to_doc,
                                variability_study, variability_to_doc, write_table)
 from qkslab.documents import read_json, write_json
+from qkslab.feature_maps import PRESETS
 from qkslab.kernels import quantum_config, rbf_config
 
 
@@ -66,6 +71,62 @@ def test_sweep_errors_are_annotated():
     ds = synthetic_dataset(4, days=50)
     with pytest.raises(ExperimentError, match=r"F=2, N=4000"):
         run_sweep(ds, [(2, 4000)], [rbf_config()], trials=1, master_seed=1)
+
+
+# --- the cell premise: each (F, N, trial) cell is a pure function of its coordinates ---
+
+_CELL_DS = synthetic_dataset(5, days=80)
+_GRIDS = st.lists(st.tuples(st.sampled_from((2, 3)), st.sampled_from((24, 32, 40))),
+                  min_size=2, max_size=4, unique=True)
+_SEEDS = st.integers(0, 2**64 - 1)
+
+
+def _six_kernels(shots=None, seed=0):
+    """Every preset and rbf; ``shots`` puts the quantum kernels in shots mode."""
+    return [*(quantum_config(name, 3, shots=shots, master_seed=seed) for name in PRESETS),
+            rbf_config(master_seed=seed)]
+
+
+@settings(max_examples=6, deadline=None)
+@given(grid=_GRIDS, trials=st.integers(1, 2), seed=_SEEDS, data=st.data())
+def test_a_permuted_grid_gives_the_same_records_per_cell(grid, trials, seed, data):
+    kernels = [quantum_config("yyy", 3), rbf_config()]
+    permuted = data.draw(st.permutations(grid))
+    assert (run_sweep(_CELL_DS, permuted, kernels, trials, seed).cells
+            == run_sweep(_CELL_DS, grid, kernels, trials, seed).cells)
+
+
+@settings(max_examples=6, deadline=None)
+@given(grid=_GRIDS, trials=st.integers(1, 2), seed=_SEEDS, data=st.data())
+def test_a_grid_split_into_two_sweeps_gives_the_whole_sweeps_cells(grid, trials, seed, data):
+    kernels = [quantum_config("zz", 3, shots=64), rbf_config()]
+    first = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=len(grid) - 1,
+                               unique=True))
+    parts = [run_sweep(_CELL_DS, part, kernels, trials, seed).cells
+             for part in (first, [point for point in grid if point not in first])]
+    assert {**parts[0], **parts[1]} == run_sweep(_CELL_DS, grid, kernels, trials, seed).cells
+
+
+@settings(max_examples=6, deadline=None)
+@given(point=st.tuples(st.sampled_from((2, 3)), st.sampled_from((24, 40))),
+       trials=st.integers(1, 2), seed=_SEEDS, kernel_seed=_SEEDS,
+       shots=st.sampled_from((None, 64)))
+def test_each_kernel_alone_gives_its_records_in_the_six_kernel_sweep(point, trials, seed,
+                                                                      kernel_seed, shots):
+    kernels = _six_kernels(shots, kernel_seed)
+    whole = run_sweep(_CELL_DS, [point], kernels, trials, seed).cells
+    for kernel in kernels:
+        alone = run_sweep(_CELL_DS, [point], [kernel], trials, seed).cells
+        assert alone == {key: records for key, records in whole.items() if key[2] == kernel.name}
+
+
+def test_a_cell_computed_in_a_spawned_worker_is_the_in_process_cell():
+    args = (_CELL_DS, ConfigPoint(3, 40), 1, 12, 0.7, _six_kernels(64, 5), 1.0, 1e-3)
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        remote = pool.submit(cell, *args).result(timeout=120)
+    assert remote == cell(*args)
+    assert list(remote) == [*PRESETS, "rbf"]
 
 
 # --- reference trials / EQA ---
