@@ -5,11 +5,11 @@ precomputed-kernel SVM trained by SMO, a financial direction-labeling
 data pipeline, reproducible experiment sweeps with ruggedness (PTRI)
 scoring, and closed-form circuit resource estimation.
 """
-from .circuits import Circuit, Gate, GateKind, adjoint, compose, dag_depth
+from .circuits import Circuit, Gate, GateKind, dag_depth
 from .feature_maps import PRESETS, FeatureMapSpec, build_feature_map, data_map_pair, data_map_single
-from .simulator import Statevector, sample_zero_count, simulate, zero_probability
+from .simulator import Statevector, sample_zero_count, simulate
 from .kernels import (GramMatrix, KernelConfig, gram_matrix, gram_pair, psd_clip,
-                      quantum_config, quantum_kernel_entry, rbf_config, rbf_kernel_entry)
+                      quantum_config, rbf_config)
 from .svm import SvmModel, decision_values, predict, train
 from .metrics import ConfusionMatrix, balanced_accuracy, confusion, f1
 from .data import (Dataset, RawSeries, SubsetSpec, fit_scale, apply_scale, ingest,

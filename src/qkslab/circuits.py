@@ -82,22 +82,3 @@ def dag_depth(circuit: Circuit) -> int:
             level[q] = step
     return max(level, default=0)
 
-
-def adjoint(circuit: Circuit) -> Circuit:
-    """Inverse circuit: gates reversed, angles negated (H and CX are self-inverse)."""
-    inv = tuple(
-        Gate(g.kind, g.qubits, -g.angle if g.angle is not None else None)
-        for g in reversed(circuit.gates)
-    )
-    return Circuit(circuit.num_qubits, inv)
-
-
-def compose(first: Circuit, *rest: Circuit) -> Circuit:
-    """Concatenate circuits on the same register."""
-    gates = list(first.gates)
-    for c in rest:
-        if c.num_qubits != first.num_qubits:
-            raise ValueError("cannot compose circuits with different qubit counts")
-        gates.extend(c.gates)
-    return Circuit(first.num_qubits, tuple(gates))
-

@@ -25,7 +25,7 @@ from .experiment import (ConfigPoint, DEFAULT_BINS, DEFAULT_FEATURE_COUNTS, DEFA
                          run_sweep, sweep_from_doc, sweep_to_doc, trial, variability_study,
                          variability_to_doc, write_table)
 from .feature_maps import DEFAULT_REPETITIONS, PRESETS
-from .kernels import SHOT_CAP, gram_matrix, quantum_config, rbf_config, resolve_gamma, write_gram
+from .kernels import SHOT_CAP, gram_matrix, quantum_config, rbf_config, write_gram
 from .resources import TABLE_HEADER, verification_table
 from .svm import DEFAULT_C, DEFAULT_TOL
 
@@ -147,7 +147,7 @@ def cmd_kernel(args) -> int:
     ds = read_dataset(args.dataset)
     point = ConfigPoint(args.features, args.size if args.size is not None else len(ds))
     _, train_ds, test_ds, trial_kernels = trial(ds, point, 0, args.seed, args.split_ratio, kernels)
-    config = resolve_gamma(trial_kernels[args.map], train_ds.X)
+    config = trial_kernels[args.map]
     if args.rows == "train":
         gram = gram_matrix(train_ds.X, None, config, row_ids=train_ds.ids,
                            clip=not args.no_psd_clip)

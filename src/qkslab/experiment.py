@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import DEFAULT_SPLIT_RATIO, Dataset, SubsetSpec, sample_subset, scale_split
 from .documents import check_format, fields, write_csv
-from .kernels import KernelConfig, config_to_doc, gram_pair, resolve_gamma
+from .kernels import KernelConfig, config_to_doc, gram_pair
 from .metrics import balanced_accuracy, confusion, f1
 from .seeding import mix64
 from .svm import DEFAULT_C, DEFAULT_TOL, predict, train
@@ -101,7 +101,6 @@ def evaluate_kernels_on_subset(train_ds: Dataset, test_ds: Dataset, kernels: dic
     """Train and score every kernel on one already-scaled train/test split."""
     out: dict[str, tuple[float, float]] = {}
     for name, kcfg in kernels.items():
-        kcfg = resolve_gamma(kcfg, train_ds.X)
         train_gram, cross_gram = gram_pair(train_ds.X, test_ds.X, kcfg,
                                            train_ids=train_ds.ids, test_ids=test_ds.ids)
         model = train(train_gram, train_ds.y, C=svm_c, tol=svm_tol)

@@ -2,13 +2,14 @@
 
 The quantum kernel is the all-zeros probability of the compute-uncompute
 circuit U(y)^dagger U(x), which equals the statevector overlap
-|<psi(y)|psi(x)>|^2.  Both modes compute that overlap from one state per
-sample; shots mode then samples each value with seeded Bernoulli draws.
-``quantum_kernel_entry`` builds and simulates the circuit itself and is the
-oracle for both.  Shots-mode entry seeds are mix64(master_seed, i, j) for
-train entry i <= j (mirrored) and mix64(master_seed, _CROSS, i, j) for cross
-entry (test i, train j), so Gram assembly is independent of evaluation order
-and parallelism.
+|<psi(y)|psi(x)>|^2.  Every value comes from one path: ``_points`` resolves
+an unset rbf gamma from the train split and prepares one state per sample,
+and ``_gram`` computes, samples (shots mode), mirrors and labels the matrix.
+``tests/oracles.kernel_entry`` builds and simulates the circuit itself and is
+the oracle for both modes.  Shots-mode entry seeds are mix64(master_seed, i, j)
+for train entry i <= j (mirrored) and mix64(master_seed, _CROSS, i, j) for
+cross entry (test i, train j), so Gram assembly is independent of evaluation
+order and parallelism.
 
 A Gram file is a ``qkslab-gram`` document (see ``documents``) holding the
 kernel (``config_to_doc``), the map's feature count, ids and exact values.
@@ -20,11 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import adjoint, compose
 from .documents import fields, read_json, write_json
 from .feature_maps import DEFAULT_REPETITIONS, FeatureMapSpec, build_feature_map
 from .seeding import mix64
-from .simulator import sample_zero_count, simulate, zero_probability
+from .simulator import sample_zero_count, simulate
 
 SHOT_CAP = 1024
 _PSD_TOL = 1e-8
@@ -91,35 +91,6 @@ def resolve_gamma(config: KernelConfig, train_x: np.ndarray) -> KernelConfig:
     return config
 
 
-def quantum_kernel_entry(spec: FeatureMapSpec, x: np.ndarray, y: np.ndarray,
-                         shots: int | None = None, entry_seed: int = 0) -> float:
-    """One kernel entry from its own circuits, in shots mode when ``shots`` is given."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != (spec.num_features,) or y.shape != (spec.num_features,):
-        raise ValueError("feature vectors must match the map's feature count")
-    if shots is None:
-        sx = simulate(build_feature_map(spec, x)).amplitudes
-        sy = simulate(build_feature_map(spec, y)).amplitudes
-        overlap = np.vdot(sy, sx)
-        return float(overlap.real**2 + overlap.imag**2)
-    if shots < 1:
-        raise ValueError("shots mode requires shots >= 1")
-    circuit = compose(build_feature_map(spec, x), adjoint(build_feature_map(spec, y)))
-    return sample_zero_count(zero_probability(simulate(circuit)), shots, entry_seed) / shots
-
-
-def rbf_kernel_entry(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("feature vectors must have equal dimension")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    d = x - y
-    return float(np.exp(-gamma * np.dot(d, d)))
-
-
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     values: np.ndarray
@@ -155,62 +126,52 @@ def _fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return overlaps.real**2 + overlaps.imag**2
 
 
-def _exact_quantum_values(v_rows: np.ndarray, v_cols: np.ndarray | None) -> np.ndarray:
-    if v_cols is None:
-        values = _fidelity(v_rows, v_rows)
-        np.fill_diagonal(values, 1.0)  # self-fidelity is 1 by definition
-        return _mirror_upper(values)
-    return _fidelity(v_rows, v_cols)
-
-
 def _shots_quantum_values(config: KernelConfig, probs: np.ndarray, symmetric: bool) -> np.ndarray:
-    """One seeded shot-count estimate per entry of the exact probabilities ``probs``."""
+    """One seeded shot-count estimate per entry of the exact probabilities ``probs``
+    (the upper triangle only when ``symmetric``)."""
     n, m = probs.shape
     values = np.zeros((n, m))
     for i in range(n):
         for j in range(i if symmetric else 0, m):
             seed = mix64(config.master_seed, i, j) if symmetric else mix64(config.master_seed, _CROSS, i, j)
             values[i, j] = sample_zero_count(probs[i, j], config.shots, seed) / config.shots
-    return _mirror_upper(values) if symmetric else values
-
-
-def _rbf_values(gamma: float, rows: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
-    right = rows if cols is None else cols
-    d2 = ((rows[:, None, :] - right[None, :, :]) ** 2).sum(axis=2)
-    values = np.exp(-gamma * d2)
-    return _mirror_upper(values) if cols is None else values
+    return values
 
 
 def _points(config: KernelConfig, rows: np.ndarray,
-            cols: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Validated samples; quantum kernels work on their feature-map states."""
+            cols: np.ndarray | None) -> tuple[KernelConfig, np.ndarray, np.ndarray | None]:
+    """The kernel, its unset rbf gamma resolved from the train split (``cols``, or ``rows`` of a
+    symmetric Gram), and the validated samples; quantum kernels work on their feature-map states."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if cols is not None:
         cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
         if cols.shape[1] != rows.shape[1]:
             raise ValueError("row and column samples must share the feature dimension")
     if config.kind == "rbf":
-        if config.gamma is None:
-            raise ValueError("rbf gamma is unresolved; call resolve_gamma on the train split first")
-        return rows, cols
+        return resolve_gamma(config, rows if cols is None else cols), rows, cols
     if rows.shape[1] != config.feature_map.num_features:
         raise ValueError("sample dimension does not match the feature map")
     states = _statevector_stack(config.feature_map, rows)
-    return states, None if cols is None else _statevector_stack(config.feature_map, cols)
+    return config, states, None if cols is None else _statevector_stack(config.feature_map, cols)
 
 
 def _gram(config: KernelConfig, rows: np.ndarray, cols: np.ndarray | None,
           row_ids, col_ids, clip: bool) -> GramMatrix:
-    """Kernel values between ``_points``: range-checked, sampled in shots mode, labelled, clipped."""
+    """Kernel values between ``_points``: range-checked, sampled in shots mode, mirrored, labelled, clipped."""
     symmetric = cols is None
+    other = rows if symmetric else cols
     if config.kind == "rbf":
-        values = _rbf_values(config.gamma, rows, cols)
+        values = np.exp(-config.gamma * ((rows[:, None, :] - other[None, :, :]) ** 2).sum(axis=2))
     else:
-        values = _exact_quantum_values(rows, cols)
+        values = _fidelity(rows, other)
+        if symmetric:
+            np.fill_diagonal(values, 1.0)  # self-fidelity is 1 by definition
     if not (-1e-9 <= values.min() and values.max() <= 1.0 + 1e-9):
         raise AssertionError("kernel values escaped [0, 1]")
     if config.mode == "shots":
         values = _shots_quantum_values(config, values, symmetric)
+    if symmetric:
+        values = _mirror_upper(values)
     row_ids = tuple(row_ids) if row_ids is not None else tuple(str(i) for i in range(values.shape[0]))
     if symmetric:
         col_ids = row_ids
@@ -228,18 +189,16 @@ def gram_matrix(rows: np.ndarray, cols: np.ndarray | None, config: KernelConfig,
     A symmetric shots-mode result, whose sampling noise can break positive
     semidefiniteness, is eigenvalue-clipped unless ``clip`` is False.
     """
-    return _gram(config, *_points(config, rows, cols), row_ids, col_ids, clip)
+    return _gram(*_points(config, rows, cols), row_ids, col_ids, clip)
 
 
 def gram_pair(train_x: np.ndarray, test_x: np.ndarray, config: KernelConfig,
               train_ids: tuple[str, ...] | None = None, test_ids: tuple[str, ...] | None = None,
               clip: bool = True) -> tuple[GramMatrix, GramMatrix]:
     """Train gram (``clip`` as in ``gram_matrix``) and test-by-train cross gram, one state per sample."""
-    test, train = _points(config, test_x, train_x)
-    train_ids = tuple(train_ids) if train_ids is not None else tuple(f"t{i}" for i in range(train.shape[0]))
-    test_ids = tuple(test_ids) if test_ids is not None else tuple(f"s{i}" for i in range(test.shape[0]))
-    return (_gram(config, train, None, train_ids, None, clip),
-            _gram(config, test, train, test_ids, train_ids, clip))
+    config, test, train = _points(config, test_x, train_x)
+    train_gram = _gram(config, train, None, train_ids, None, clip)
+    return train_gram, _gram(config, test, train, test_ids, train_gram.row_ids, clip)
 
 
 def psd_clip(gram: GramMatrix) -> GramMatrix:

@@ -82,19 +82,13 @@ def simulate(circuit: Circuit) -> Statevector:
     return Statevector(n, state)
 
 
-def zero_probability(state: Statevector) -> float:
-    """Probability of measuring the all-zeros bitstring."""
-    a = state.amplitudes[0]
-    return float(a.real**2 + a.imag**2)
-
-
 def sample_zero_count(prob: float, shots: int, seed: int) -> int:
     """Count all-zeros outcomes over ``shots`` seeded Bernoulli draws.
 
     Each shot compares one SplitMix64 uniform against ``prob``, the
-    all-zeros probability (``zero_probability`` of a simulated circuit, or
-    an exact fidelity), so identical (prob, shots, seed) always reproduce
-    the same count.
+    all-zeros probability: a kernel value, which is the exact fidelity of two
+    states, or |amp_0|^2 of a simulated compute-uncompute circuit.  Identical
+    (prob, shots, seed) always reproduce the same count.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

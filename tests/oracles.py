@@ -1,10 +1,10 @@
 """Independent brute-force oracles shared by the unit and acceptance suites.
 
 These deliberately avoid the package's fast paths: the circuit oracle
-multiplies explicit 2^n x 2^n gate matrices, and the QP oracle solves the
-SVM dual by projected gradient ascent.  Keep them simple and slow.
-``reference_smo`` is the plain SMO loop that ``qkslab.svm.train`` must
-reproduce bit for bit.
+multiplies explicit 2^n x 2^n gate matrices, the kernel oracle computes one
+entry from its own circuits, and the QP oracle solves the SVM dual by
+projected gradient ascent.  Keep them simple and slow.  ``reference_smo`` is
+the plain SMO loop that ``qkslab.svm.train`` must reproduce bit for bit.
 """
 import itertools
 import warnings
@@ -13,6 +13,8 @@ from math import cos, sin
 import numpy as np
 
 from qkslab.circuits import Circuit, Gate, GateKind
+from qkslab.feature_maps import FeatureMapSpec, build_feature_map
+from qkslab.simulator import sample_zero_count, simulate
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -54,6 +56,23 @@ def simulate_by_matrices(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         state = gate_matrix(gate, circuit.num_qubits) @ state
     return state
+
+
+def inverse(circuit: Circuit) -> Circuit:
+    """U^dagger: gates reversed, angles negated (H and CX are self-inverse)."""
+    return Circuit(circuit.num_qubits, tuple(Gate(g.kind, g.qubits, None if g.angle is None else -g.angle)
+                                             for g in reversed(circuit.gates)))
+
+
+def kernel_entry(spec: FeatureMapSpec, x, y, shots: int | None = None, entry_seed: int = 0) -> float:
+    """One quantum kernel entry from its own circuits: |<psi(y)|psi(x)>|^2 of two simulated
+    states, or with ``shots`` the seeded all-zeros count of U(y)^dagger U(x) over ``shots``."""
+    ux, uy = build_feature_map(spec, x), build_feature_map(spec, y)
+    if shots is None:
+        overlap = np.vdot(simulate(uy).amplitudes, simulate(ux).amplitudes)
+        return float(overlap.real**2 + overlap.imag**2)
+    amp0 = simulate(Circuit(spec.num_features, ux.gates + inverse(uy).gates)).amplitudes[0]
+    return sample_zero_count(float(amp0.real**2 + amp0.imag**2), shots, entry_seed) / shots
 
 
 def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int) -> Circuit:

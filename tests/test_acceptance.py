@@ -20,14 +20,14 @@ from qkslab.experiment import (ConfigPoint, eqa_difference, mean_std, ptri, ptri
                                run_sweep, select_reference_trials, sweep_to_doc,
                                variability_study)
 from qkslab.feature_maps import PRESETS, FeatureMapSpec
-from qkslab.kernels import (GramMatrix, gram_matrix, quantum_config, quantum_kernel_entry,
-                            rbf_config)
+from qkslab.kernels import GramMatrix, gram_matrix, quantum_config, rbf_config
 from qkslab.metrics import ConfusionMatrix, balanced_accuracy, confusion, f1
 from qkslab.resources import verify_against_circuit
 from qkslab.simulator import simulate
 from qkslab.svm import train
 
-from oracles import random_circuit, simulate_by_matrices, solve_dual_exhaustive, svm_dual_objective
+from oracles import (kernel_entry, random_circuit, simulate_by_matrices, solve_dual_exhaustive,
+                     svm_dual_objective)
 
 
 def criterion(num: int, name: str):
@@ -89,7 +89,7 @@ def test_kernel_correctness():
     spec = FeatureMapSpec(("Z",), 1, 1)
     for x in np.linspace(0.0, pi, 5):
         for y in np.linspace(0.0, pi, 4):
-            got = quantum_kernel_entry(spec, [x], [y])
+            got = kernel_entry(spec, [x], [y])
             assert abs(got - np.cos(y - x) ** 2) <= 1e-9
 
     # (c) shot sampling is unbiased over seeds
@@ -99,12 +99,11 @@ def test_kernel_correctness():
     entries = []
     while len(entries) < 20:
         x, y = pair_rng.uniform(0, pi, 2), pair_rng.uniform(0, pi, 2)
-        exact = quantum_kernel_entry(pair_spec, x, y)
+        exact = kernel_entry(pair_spec, x, y)
         if 0.05 <= exact <= 0.95:  # keep the standard error well defined
             entries.append((x, y, exact))
     for idx, (x, y, exact) in enumerate(entries):
-        estimates = [quantum_kernel_entry(pair_spec, x, y, shots=shots,
-                                          entry_seed=idx * 100_000 + s)
+        estimates = [kernel_entry(pair_spec, x, y, shots=shots, entry_seed=idx * 100_000 + s)
                      for s in range(n_seeds)]
         se = sqrt(exact * (1.0 - exact) / (shots * n_seeds))
         assert abs(float(np.mean(estimates)) - exact) <= 3.0 * se, idx

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkslab.circuits import GateKind, adjoint, compose, dag_depth
+from qkslab.circuits import Circuit, GateKind, dag_depth
 from qkslab.feature_maps import (PRESETS, FeatureMapSpec, build_feature_map, data_map_pair,
                                  data_map_single, sequential_depth)
 from qkslab.simulator import simulate
+
+from oracles import inverse
 
 
 def _counts(circuit) -> Counter:
@@ -154,6 +156,6 @@ def test_adjoint_round_trip_restores_zero_state(reps, data):
     f = data.draw(st.integers(2, 4))
     x = np.array(data.draw(st.lists(st.floats(0, pi), min_size=f, max_size=f)))
     c = build_feature_map(FeatureMapSpec(("Y", "YY"), f, reps), x)
-    state = simulate(compose(c, adjoint(c)))
+    state = simulate(Circuit(f, c.gates + inverse(c).gates))
     assert abs(state.amplitudes[0] - 1.0) < 1e-10
     assert np.all(np.abs(state.amplitudes[1:]) < 1e-10)

