@@ -30,6 +30,7 @@ import numpy as np
 
 from .documents import fields, read_json, write_json
 from .kernels import gram_matrix, quantum_config
+from .metrics import check_labels
 from .seeding import mix64
 
 
@@ -194,8 +195,7 @@ class Dataset:
         n = len(self.ids)
         if self.X.shape != (n, len(self.feature_names)) or self.y.shape != (n,) or len(self.dates) != n:
             raise ValueError("inconsistent dataset shapes")
-        if not np.all(np.isin(self.y, (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
+        check_labels(self.y)
         if not np.all(np.isfinite(self.X)):
             raise ValueError("features must be finite numbers")
         if n and (np.all(self.y == 1) or np.all(self.y == -1)):

@@ -5,6 +5,10 @@ circuit U(y)^dagger U(x), which equals the statevector overlap
 |<psi(y)|psi(x)>|^2.  Every value comes from one path: ``_points`` resolves
 an unset rbf gamma from the train split and prepares one state per sample,
 and ``_gram`` computes, samples (shots mode), mirrors and labels the matrix.
+The rbf squared distances are added one feature column at a time into (n, m)
+buffers in numpy's pairwise-sum order, bitwise equal to the (n, m, F) tensor
+expression ``tests/oracles.rbf_squared_distances``; they are exactly
+symmetric, so only quantum Grams are mirrored.
 ``tests/oracles.kernel_entry`` builds and simulates the circuit itself and is
 the oracle for both modes.  Shots-mode entry seeds are mix64(master_seed, i, j)
 for train entry i <= j (mirrored) and mix64(master_seed, _CROSS, i, j) for
@@ -126,6 +130,32 @@ def _fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return overlaps.real**2 + overlaps.imag**2
 
 
+def _add_columns(out: np.ndarray, a: np.ndarray, b: np.ndarray, cols) -> np.ndarray:
+    """Add (a[:, f] - b[:, f])**2 into ``out`` for each f of ``cols``, in order."""
+    tmp = np.empty_like(out)
+    for f in cols:
+        np.subtract.outer(a[:, f], b[:, f], out=tmp)
+        tmp *= tmp
+        out += tmp
+    return out
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Squared distances between the rows of ``a`` and ``b`` over feature columns lo..hi-1, bitwise
+    ``((a[:, None] - b[None]) ** 2).sum(axis=2)``: columns are added in numpy's pairwise-sum order."""
+    hi = a.shape[1] if hi is None else hi
+    n = hi - lo
+    if n < 8:  # one running sum
+        return _add_columns(np.zeros((len(a), len(b))), a, b, range(lo, hi))
+    if n > 128:  # two halves, split at a multiple of 8
+        mid = lo + n // 2 - n // 2 % 8
+        return _squared_distances(a, b, lo, mid) + _squared_distances(a, b, mid, hi)
+    end = hi - n % 8  # eight running sums over the whole blocks of 8, then the rest one by one
+    r = [_add_columns(np.zeros((len(a), len(b))), a, b, range(lo + j, end, 8)) for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return _add_columns(total, a, b, range(end, hi))
+
+
 def _shots_quantum_values(config: KernelConfig, probs: np.ndarray, symmetric: bool) -> np.ndarray:
     """One seeded shot-count estimate per entry of the exact probabilities ``probs``
     (the upper triangle only when ``symmetric``)."""
@@ -161,7 +191,9 @@ def _gram(config: KernelConfig, rows: np.ndarray, cols: np.ndarray | None,
     symmetric = cols is None
     other = rows if symmetric else cols
     if config.kind == "rbf":
-        values = np.exp(-config.gamma * ((rows[:, None, :] - other[None, :, :]) ** 2).sum(axis=2))
+        values = _squared_distances(rows, other)
+        values *= -config.gamma
+        np.exp(values, out=values)
     else:
         values = _fidelity(rows, other)
         if symmetric:
@@ -170,7 +202,7 @@ def _gram(config: KernelConfig, rows: np.ndarray, cols: np.ndarray | None,
         raise AssertionError("kernel values escaped [0, 1]")
     if config.mode == "shots":
         values = _shots_quantum_values(config, values, symmetric)
-    if symmetric:
+    if symmetric and config.kind == "quantum":  # (a - b)**2 == (b - a)**2: rbf is symmetric as computed
         values = _mirror_upper(values)
     row_ids = tuple(row_ids) if row_ids is not None else tuple(str(i) for i in range(values.shape[0]))
     if symmetric:

@@ -23,15 +23,21 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
 
+def check_labels(y: np.ndarray) -> None:
+    """Refuse any label that is not exactly -1 or +1 (NaN and -0.0 included)."""
+    if not np.all((y == 1) | (y == -1)):
+        raise ValueError("labels must be -1 or +1")
+
+
 def confusion(y_true, y_pred) -> ConfusionMatrix:
-    t = np.asarray(y_true, dtype=np.int64)
-    q = np.asarray(y_pred, dtype=np.int64)
+    t = np.asarray(y_true)
+    q = np.asarray(y_pred)
     if t.shape != q.shape:
         raise ValueError(f"length mismatch: {t.shape} vs {q.shape}")
     if t.size == 0:
         raise ValueError("empty input")
-    if not np.all(np.isin(t, (-1, 1))) or not np.all(np.isin(q, (-1, 1))):
-        raise ValueError("labels must be -1 or +1")
+    check_labels(t)
+    check_labels(q)
     return ConfusionMatrix(
         tp=int(np.sum((t == 1) & (q == 1))),
         fp=int(np.sum((t == -1) & (q == 1))),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GramMatrix
+from .metrics import check_labels
 
 DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-3
@@ -62,8 +63,7 @@ def train(gram: GramMatrix, labels, C: float = DEFAULT_C, tol: float = DEFAULT_T
     n = y.shape[0]
     if gram.values.shape != (n, n):
         raise ValueError(f"{n} labels do not match gram of shape {gram.values.shape}")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
+    check_labels(y)
     if np.all(y > 0) or np.all(y < 0):
         raise ValueError("single-class labels: both classes must be present")
     for name, value in (("C", C), ("tol", tol)):

@@ -4,7 +4,9 @@ These deliberately avoid the package's fast paths: the circuit oracle
 multiplies explicit 2^n x 2^n gate matrices, the kernel oracle computes one
 entry from its own circuits, and the QP oracle solves the SVM dual by
 projected gradient ascent.  Keep them simple and slow.  ``reference_smo`` is
-the plain SMO loop that ``qkslab.svm.train`` must reproduce bit for bit.
+the plain SMO loop that ``qkslab.svm.train`` must reproduce bit for bit, and
+``rbf_squared_distances`` the difference-tensor expression whose bits the
+column-wise rbf distances must reproduce.
 """
 import itertools
 import warnings
@@ -73,6 +75,12 @@ def kernel_entry(spec: FeatureMapSpec, x, y, shots: int | None = None, entry_see
         return float(overlap.real**2 + overlap.imag**2)
     amp0 = simulate(Circuit(spec.num_features, ux.gates + inverse(uy).gates)).amplitudes[0]
     return sample_zero_count(float(amp0.real**2 + amp0.imag**2), shots, entry_seed) / shots
+
+
+def rbf_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of ``a`` and ``b`` from the full (n, m, F) difference
+    tensor; ``qkslab.kernels._squared_distances`` must equal it bit for bit."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
 def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int) -> Circuit:

@@ -1,11 +1,15 @@
 """Tests for Gram assembly against the kernel-entry oracle, PSD clipping, and the gram file."""
+import gc
 import json
 import re
+import tracemalloc
 from itertools import product
 from math import cos, exp, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkslab import kernels
 from qkslab.feature_maps import PRESETS, FeatureMapSpec, build_feature_map
@@ -15,7 +19,7 @@ from qkslab.kernels import (GramMatrix, KernelConfig, gram_matrix, gram_pair, ps
 from qkslab.seeding import mix64
 from qkslab.simulator import simulate
 
-from oracles import kernel_entry
+from oracles import kernel_entry, rbf_squared_distances
 
 
 def test_identical_inputs_give_unit_kernel():
@@ -207,6 +211,53 @@ def test_gram_pair_matches_separate_calls(preset):
     assert np.array_equal(train_g.values, gram_matrix(train, None, cfg).values)
     assert np.array_equal(cross_g.values, gram_matrix(test, train, cfg).values)
     assert cross_g.col_ids == train_g.row_ids
+
+
+@st.composite
+def _distance_samples(draw):
+    """Two sample sets with repeated rows, one constant column and column scales 10^4 apart."""
+    features = draw(st.sampled_from([*range(1, 21), 64, 129, 200]))
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = rng.permutation(np.where(np.arange(features) % 2 == 0, 1e2, 1e-2))
+    distinct = rng.normal(size=(max(1, (n + m) // 2), features)) * scales
+    samples = distinct[rng.integers(len(distinct), size=n + m)]  # drawn with replacement
+    samples[:, rng.integers(features)] = rng.normal()
+    return samples[:n], samples[n:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_distance_samples())
+def test_squared_distances_equal_the_difference_tensor_bitwise(samples):
+    a, b = samples
+    for x, y in ((a, a), (a, b), (b, a)):
+        assert np.array_equal(kernels._squared_distances(x, y), rbf_squared_distances(x, y))
+    assert np.array_equal(gram_matrix(a, None, rbf_config(0.3)).values,
+                          np.exp(-0.3 * rbf_squared_distances(a, a)))
+    assert np.array_equal(gram_matrix(a, b, rbf_config(0.3)).values,
+                          np.exp(-0.3 * rbf_squared_distances(a, b)))
+
+
+def test_rbf_gram_pair_builds_no_difference_tensor_and_keeps_no_buffer():
+    rng = np.random.default_rng(21)
+    train, test = rng.normal(size=(280, 7)), rng.normal(size=(120, 7))
+    cfg = rbf_config(0.2)
+    gram_bytes = 280 * 280 * 8  # the pair's largest Gram, train x train
+    gram_pair(train, test, cfg)  # first-call allocations are not the Gram's
+    tracemalloc.start()
+    gc.disable()  # a buffer kept alive by a reference cycle stays counted
+    try:
+        gram_pair(train, test, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(20):
+            gram_pair(train, test, cfg)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        gc.enable()
+        tracemalloc.stop()
+    assert peak < 4 * gram_bytes  # the (n, n, F) difference tensor alone took 7 * gram_bytes
+    assert after - before < gram_bytes
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0])

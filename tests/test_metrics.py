@@ -1,11 +1,16 @@
-"""Tests for confusion counts, balanced accuracy, and F1."""
+"""Tests for confusion counts, balanced accuracy, F1, and the one ±1 label check."""
 import itertools
 import warnings
+from datetime import date
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qkslab.data import Dataset
+from qkslab.kernels import gram_matrix, rbf_config
 from qkslab.metrics import ConfusionMatrix, balanced_accuracy, confusion, f1
+from qkslab.svm import train
 
 
 def _labels_for(cm: ConfusionMatrix) -> tuple[list[int], list[int]]:
@@ -83,3 +88,18 @@ def test_metrics_merge_across_disjoint_evaluations():
     assert merged == summed
     assert balanced_accuracy(merged) == balanced_accuracy(summed)
     assert f1(merged) == f1(summed)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, 2.0, 0.5, 1.5, -1.9, float("nan")],
+                         ids=["zero", "minus-zero", "two", "half", "one-and-a-half", "minus-one-point-nine", "nan"])
+def test_every_label_check_refuses_what_is_not_plus_or_minus_one(bad):
+    y = np.array([1.0, -1.0, bad])
+    with pytest.raises(ValueError, match=r"labels must be -1 or \+1"):
+        Dataset(("x",), ("a", "b", "c"), (date(2018, 1, 2), date(2018, 1, 3), date(2018, 1, 4)),
+                np.zeros((3, 1)), y)
+    with pytest.raises(ValueError, match=r"labels must be -1 or \+1"):
+        train(gram_matrix(np.eye(3), None, rbf_config(1.0)), y)
+    for truth, pred in ((y, [1, -1, 1]), ([1, -1, 1], y)):
+        with pytest.raises(ValueError, match=r"labels must be -1 or \+1"):
+            confusion(truth, pred)  # refused as given, not after truncation to an integer
+    assert confusion([1, -1, 1], [1.0, -1.0, 1.0]).total == 3
