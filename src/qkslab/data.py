@@ -489,13 +489,14 @@ DATASET_VERSION = "1.0"
 
 
 def write_dataset(ds: Dataset, path) -> None:
+    features, labels = ds.X.tolist(), ds.y.astype(np.int64).tolist()
     write_json({
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "feature_names": list(ds.feature_names),
         "rows": [
-            {"id": ds.ids[i], "date": ds.dates[i].isoformat(),
-             "features": ds.X[i].tolist(), "label": int(ds.y[i])}
+            {"id": ds.ids[i], "date": ds.dates[i].isoformat(), "features": features[i],
+             "label": labels[i]}
             for i in range(len(ds))
         ],
     }, path)

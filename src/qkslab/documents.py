@@ -1,8 +1,9 @@
 """The files qkslab writes: tagged JSON documents, which it reads back, and CSV tables.
 
 A dataset, Gram, sweep, PTRI, variability or manifest file is a JSON object
-with a ``format`` tag and a ``version``, written with sorted keys so reruns are
-byte-identical, and as strict JSON: writing a NaN or infinity is a ValueError.
+with a ``format`` tag and a ``version``, written as one line of compact JSON
+with sorted keys so reruns are byte-identical, and as strict JSON: writing a
+NaN or infinity is a ValueError, raised before the file is opened.
 ``read_json`` refuses the ``NaN`` and ``Infinity`` tokens, another tag or major
 version, and names the file.
 """
@@ -12,9 +13,10 @@ from contextlib import contextmanager
 
 
 def write_json(doc: dict, path) -> None:
+    # A one-shot dumps without indent is the call json serves from its C encoder.
+    text = json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path, header, rows) -> None:

@@ -3,8 +3,9 @@
 ``COMMAND_LINES`` is the one list of pinned command lines; ``test_cli`` replays
 the same list.  ``golden.json`` holds ``__version__`` and, per output file, its
 SHA-256 and its content (JSON documents parsed, CSV tables as lines), so a
-failure can say what moved: the largest |change| of a Gram's values, the BA/F1
-records of a sweep or variability file, the first differing line of a CSV.
+failure can say what moved: that only the layout moved when the parsed contents
+are equal, else the largest |change| of a Gram's values, the BA/F1 records of a
+sweep or variability file, the first differing line of a CSV.
 Manifests are left out because they hold absolute paths.
 
 The fixture changes only together with a ``__version__`` bump.  After a bump,
@@ -116,6 +117,8 @@ def _leaves(doc, path=""):
 
 def _file_diff(old, new) -> list[str]:
     """What moved between two contents of one output file."""
+    if old == new:
+        return ["bytes differ, parsed values equal"]
     if isinstance(old, list) or isinstance(new, list):  # CSV lines
         for i, (a, b) in enumerate(zip(old, new)):
             if a != b:
@@ -140,12 +143,12 @@ def _file_diff(old, new) -> list[str]:
             elif (a["balanced_accuracy"], a["f1"]) != (b["balanced_accuracy"], b["f1"]):
                 lines.append(f"{key}: BA {a['balanced_accuracy']!r} -> {b['balanced_accuracy']!r}, "
                              f"F1 {a['f1']!r} -> {b['f1']!r}")
-        return lines or ["no BA/F1 record moved; other fields or bytes differ"]
+        return lines or ["no BA/F1 record moved; other fields differ"]
     old_leaves, new_leaves = dict(_leaves(old)), dict(_leaves(new))
     moved = [p for p in {**old_leaves, **new_leaves}
              if old_leaves.get(p, "<absent>") != new_leaves.get(p, "<absent>")]
     if not moved:
-        return ["bytes differ, parsed values equal"]
+        return ["empty containers differ"]
     return [f"{len(moved)} value(s) differ, first at {moved[0]}: "
             f"{old_leaves.get(moved[0], '<absent>')!r} -> {new_leaves.get(moved[0], '<absent>')!r}"]
 

@@ -165,8 +165,15 @@ def test_dataset_files_with_non_finite_features_are_refused(tmp_path, token, err
 
 
 def test_files_are_strict_json(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json({"format": "x", "value": 1.5}, path)
+    before = path.read_bytes()
     with pytest.raises(ValueError, match="not JSON compliant"):
-        write_json({"format": "x", "value": float("nan")}, tmp_path / "doc.json")
+        write_json({"a": 1, "format": "x", "value": float("nan")}, path)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json({"format": "x", "value": float("inf")}, tmp_path / "new.json")
+    assert path.read_bytes() == before  # a refused document leaves the file as it was
+    assert not (tmp_path / "new.json").exists()
 
 
 # --- labeling ---

@@ -30,17 +30,22 @@ def test_the_diff_says_what_moved_in_each_kind_of_file():
     for key, edit in edits.items():
         edit(actual["files"][key]["content"])
         actual["files"][key]["sha256"] = "0" * 64
+    for key in ("kernel/out.gram", "resources/out.csv", "sweep/out.json"):  # layout-only changes
+        actual["files"][key]["sha256"] = "1" * 64
     cell = expected["files"]["sweep-six-kernels/out.json"]["content"]["cells"][0]
     record = cell["records"][1]
     variability = expected["files"]["variability/out.json"]["content"]["records"][2]
     assert golden.diff(expected, actual) == [
         "kernel-exact/out.gram: max |delta| of the Gram values: 2e-09",
+        "kernel/out.gram: bytes differ, parsed values equal",
         "ptri/out.json: 1 value(s) differ, first at /metric: 'balanced_accuracy' -> 'f1'",
+        "resources/out.csv: bytes differ, parsed values equal",
         f"sweep-six-kernels/out.json: F={cell['features']} N={cell['size']} {cell['kernel']} "
         f"trial 1: BA {record['balanced_accuracy']!r} -> {record['balanced_accuracy']!r}, "
         f"F1 {record['f1']!r} -> 2.0",
         "sweep/out.csv: first differing line 4: "
         f"{expected['files']['sweep/out.csv']['content'][3]!r} -> 'changed'",
+        "sweep/out.json: bytes differ, parsed values equal",
         "variability/out.json: trial 2: BA "
         f"{variability['balanced_accuracy']!r} -> -1.0, F1 {variability['f1']!r} -> "
         f"{variability['f1']!r}",
