@@ -21,9 +21,9 @@ from .data import (DEFAULT_DAYS, DEFAULT_FEATURES, DEFAULT_SPLIT_RATIO, ingest, 
                    read_dataset, synthetic_dataset, write_dataset)
 from .documents import check_format, read_json, write_csv, write_json
 from .experiment import (ConfigPoint, DEFAULT_BINS, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES,
-                         ExperimentError, RESULT_FORMATS, ptri, ptri_to_doc, result_table_rows,
-                         run_sweep, sweep_from_doc, sweep_to_doc, trial, variability_study,
-                         variability_to_doc, write_table)
+                         ExperimentError, METRICS, RESULT_FORMATS, ptri, ptri_to_doc,
+                         result_table_rows, run_sweep, sweep_from_doc, sweep_to_doc, trial,
+                         variability_study, variability_to_doc, write_table)
 from .feature_maps import DEFAULT_REPETITIONS, PRESETS
 from .kernels import SHOT_CAP, gram_matrix, quantum_config, rbf_config, write_gram
 from .resources import TABLE_HEADER, verification_table
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("ptri", help="ruggedness surfaces from a saved sweep")
     s.add_argument("--sweep", required=True)
     s.add_argument("--methods", default="yyy,rbf")
-    s.add_argument("--metric", choices=("balanced_accuracy", "f1"), default="balanced_accuracy")
+    s.add_argument("--metric", choices=METRICS, default=METRICS[0])
     s.add_argument("--selection", choices=("all", "reference"), default="all")
     s.add_argument("--baseline", default=None,
                    help="kernel whose BA picks the reference trials (default: the method)")

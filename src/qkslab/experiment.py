@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields as record_fields, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .svm import DEFAULT_C, DEFAULT_TOL, predict, train
 DEFAULT_SIZES = (200, 250, 300, 350, 400)
 DEFAULT_FEATURE_COUNTS = (5, 6, 7)
 DEFAULT_BINS = 20  # variability histogram bins
+METRICS = ("balanced_accuracy", "f1")  # what a trial scores, in evaluate_kernels_on_subset's order
 
 
 class ExperimentError(RuntimeError):
@@ -40,7 +41,7 @@ class ConfigPoint:
 class TrialRecord:
     trial: int
     trial_seed: int
-    balanced_accuracy: float
+    balanced_accuracy: float  # the METRICS, in their order
     f1: float
     fingerprint: str  # digest of the train/test row ids (paired-design witness)
 
@@ -63,7 +64,8 @@ class SweepResult:
     def records(self, config: ConfigPoint, kernel: str) -> list[TrialRecord]:
         return self.cells[(config.features, config.size, kernel)]
 
-    def metric_values(self, config: ConfigPoint, kernel: str, metric: str = "balanced_accuracy") -> list[float]:
+    def metric_values(self, config: ConfigPoint, kernel: str,
+                      metric: str = METRICS[0]) -> list[float]:
         return [getattr(r, metric) for r in self.records(config, kernel)]
 
 
@@ -98,7 +100,7 @@ def trial(ds: Dataset, point: ConfigPoint, t: int, master_seed: int, split_ratio
 
 def evaluate_kernels_on_subset(train_ds: Dataset, test_ds: Dataset, kernels: dict[str, KernelConfig],
                                svm_c: float, svm_tol: float) -> dict[str, tuple[float, float]]:
-    """Train and score every kernel on one already-scaled train/test split."""
+    """Each kernel's ``METRICS`` scores, trained and tested on one already-scaled split."""
     out: dict[str, tuple[float, float]] = {}
     for name, kcfg in kernels.items():
         train_gram, cross_gram = gram_pair(train_ds.X, test_ds.X, kcfg,
@@ -131,8 +133,8 @@ def cell(ds: Dataset, point: ConfigPoint, t: int, master_seed: int, split_ratio:
     except Exception as exc:
         raise ExperimentError(
             f"config (F={point.features}, N={point.size}) trial {t}: {exc}") from exc
-    return {name: TrialRecord(t, trial_seed, ba, f1_score, fingerprint)
-            for name, (ba, f1_score) in scores.items()}
+    return {name: TrialRecord(t, trial_seed, *values, fingerprint)
+            for name, values in scores.items()}
 
 
 def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
@@ -171,13 +173,10 @@ def select_reference_trials(sr: SweepResult, baseline: str) -> dict[ConfigPoint,
         raise ValueError(f"baseline kernel {baseline!r} not present in the sweep")
     out: dict[ConfigPoint, ReferenceTrials] = {}
     for cfg in sr.configs:
-        bas = sr.metric_values(cfg, baseline)
+        bas = np.array(sr.metric_values(cfg, baseline))
         mean, _ = mean_std(bas)
-
-        def nearest(target: float) -> int:
-            return min(range(len(bas)), key=lambda t: (abs(bas[t] - target), t))
-
-        out[cfg] = ReferenceTrials(nearest(mean), nearest(min(bas)), nearest(max(bas)))
+        out[cfg] = ReferenceTrials(int(np.argmin(np.abs(bas - mean))), int(np.argmin(bas)),
+                                   int(np.argmax(bas)))
     return out
 
 
@@ -223,7 +222,7 @@ def ptri_scores(z: np.ndarray) -> np.ndarray:
     return scores
 
 
-def ptri(sr: SweepResult, methods: list[str], metric: str = "balanced_accuracy",
+def ptri(sr: SweepResult, methods: list[str], metric: str = METRICS[0],
          trial_selection: str = "all", baseline: str | None = None) -> PTRIGrid:
     """Ruggedness surfaces of each method's metric over the full config grid, in one grid.
 
@@ -231,12 +230,12 @@ def ptri(sr: SweepResult, methods: list[str], metric: str = "balanced_accuracy",
     ``"reference"`` averages the two trials where the baseline (default:
     the method itself; refused with ``"all"``) was closest to its min and max.
     """
-    if not methods:
-        raise ValueError("no methods to score")
+    if not methods or len(set(methods)) != len(methods):
+        raise ValueError(f"methods must be one or more distinct kernels, got {methods}")
     for method in methods:
         if method not in sr.kernel_names:
             raise ValueError(f"kernel {method!r} not present in the sweep")
-    if metric != "balanced_accuracy" and metric != "f1":
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     feature_axis = tuple(sorted({c.features for c in sr.configs}))
     size_axis = tuple(sorted({c.size for c in sr.configs}))
@@ -311,24 +310,19 @@ PTRI_FORMAT = "qkslab-ptri"
 VARIABILITY_FORMAT = "qkslab-variability"
 RESULT_VERSION = "1.0"
 RESULT_FORMATS = dict.fromkeys((SWEEP_FORMAT, PTRI_FORMAT, VARIABILITY_FORMAT), RESULT_VERSION)
-
-
-def _record_doc(r: TrialRecord) -> dict:
-    return {"trial": r.trial, "trial_seed": r.trial_seed,
-            "balanced_accuracy": r.balanced_accuracy, "f1": r.f1, "fingerprint": r.fingerprint}
+RECORD_FIELDS = tuple(f.name for f in record_fields(TrialRecord))
+TABLE_FIELDS = tuple(name for name in RECORD_FIELDS if name != "fingerprint")  # CSV record columns
 
 
 def sweep_to_doc(sr: SweepResult) -> dict:
     cells = []
     for (features, size, kernel), records in sorted(sr.cells.items()):
-        mean_ba, std_ba = mean_std(r.balanced_accuracy for r in records)
-        mean_f1, std_f1 = mean_std(r.f1 for r in records)
-        cells.append({
-            "features": features, "size": size, "kernel": kernel,
-            "records": [_record_doc(r) for r in records],
-            "mean_balanced_accuracy": mean_ba, "std_balanced_accuracy": std_ba,
-            "mean_f1": mean_f1, "std_f1": std_f1,
-        })
+        cell = {"features": features, "size": size, "kernel": kernel,
+                "records": [asdict(r) for r in records]}
+        for metric in METRICS:
+            cell[f"mean_{metric}"], cell[f"std_{metric}"] = mean_std(getattr(r, metric)
+                                                                     for r in records)
+        cells.append(cell)
     return {
         "format": SWEEP_FORMAT, "version": RESULT_VERSION,
         "master_seed": sr.master_seed, "trials": sr.trials, "split_ratio": sr.split_ratio,
@@ -357,8 +351,8 @@ def sweep_from_doc(doc: dict, where="document") -> SweepResult:
                 raise ValueError(f"cell {key} names a kernel the sweep does not list")
             if ConfigPoint(*key[:2]) not in configs or key in cells:
                 raise ValueError(f"cell {key} is off the sweep's grid or listed twice")
-            cells[key] = [TrialRecord(r["trial"], r["trial_seed"], r["balanced_accuracy"],
-                                      r["f1"], r["fingerprint"]) for r in cell["records"]]
+            cells[key] = [TrialRecord(**{name: r[name] for name in RECORD_FIELDS})
+                          for r in cell["records"]]
         missing = [(c.features, c.size, k) for c in configs for k in kernels
                    if (c.features, c.size, k) not in cells]
         if missing:
@@ -384,7 +378,7 @@ def variability_to_doc(vr: VariabilityResult) -> dict:
         "format": VARIABILITY_FORMAT, "version": RESULT_VERSION,
         "features": vr.features, "size": vr.size, "kernel": vr.kernel_name,
         "trials": vr.trials, "master_seed": vr.master_seed,
-        "records": [_record_doc(r) for r in vr.records],
+        "records": [asdict(r) for r in vr.records],
         "mean": vr.mean, "std": vr.std,
         "histogram": {"bin_edges": vr.bin_edges.tolist(), "counts": vr.bin_counts.tolist()},
     }
@@ -393,12 +387,14 @@ def variability_to_doc(vr: VariabilityResult) -> dict:
 def result_table_rows(doc: dict, where="document") -> tuple[list[str], list[list]]:
     """Flatten any result document into plot-ready tabular rows."""
     kind = check_format(doc, RESULT_FORMATS, where)
+
+    def columns(r: dict) -> list:
+        return [repr(r[name]) if name in METRICS else r[name] for name in TABLE_FIELDS]
+
     with fields(where):
         if kind == SWEEP_FORMAT:
-            header = ["features", "size", "kernel", "trial", "trial_seed", "balanced_accuracy",
-                      "f1"]
-            rows = [[c["features"], c["size"], c["kernel"], r["trial"], r["trial_seed"],
-                     repr(r["balanced_accuracy"]), repr(r["f1"])]
+            header = ["features", "size", "kernel", *TABLE_FIELDS]
+            rows = [[c["features"], c["size"], c["kernel"], *columns(r)]
                     for c in doc["cells"] for r in c["records"]]
         elif kind == PTRI_FORMAT:
             header = ["method", "features", "size", "mean_metric", "score"]
@@ -409,9 +405,8 @@ def result_table_rows(doc: dict, where="document") -> tuple[list[str], list[list
                         rows.append([method, f, n, repr(surface["values"][fi][si]),
                                      repr(surface["scores"][fi][si])])
         else:
-            header = ["trial", "trial_seed", "balanced_accuracy", "f1"]
-            rows = [[r["trial"], r["trial_seed"], repr(r["balanced_accuracy"]), repr(r["f1"])]
-                    for r in doc["records"]]
+            header = list(TABLE_FIELDS)
+            rows = [columns(r) for r in doc["records"]]
     return header, rows
 
 

@@ -12,11 +12,15 @@ The fixture changes only together with a ``__version__`` bump.  After a bump,
 regenerate it and paste the printed diff into CHANGES.md:
 
     PYTHONPATH=src python tests/golden.py
+
+Without a bump, a run whose output bytes moved prints the diff, leaves the
+fixture as it is and exits non-zero.
 """
 import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -173,10 +177,19 @@ def load() -> dict:
 
 
 def regenerate() -> list[str]:
-    """Rewrite the fixture from the current program; the diff from the old one, if any."""
+    """Rewrite the fixture from the current program; the diff from the old one, if any.
+
+    Exits non-zero with the diff, the fixture untouched, if bytes moved under the same version."""
     with tempfile.TemporaryDirectory() as directory:
         new = fixture(outputs(directory))
-    lines = diff(load(), new) if FIXTURE.exists() else [f"{FIXTURE.name}: new fixture"]
+    if not FIXTURE.exists():
+        lines = [f"{FIXTURE.name}: new fixture"]
+    else:
+        old = load()
+        lines = diff(old, new)
+        if lines and old["version"] == new["version"]:
+            sys.exit("\n".join([*lines, f"output bytes moved while __version__ stayed "
+                                f"{__version__}: bump it first; {FIXTURE.name} is unchanged"]))
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(new, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its manifests."""
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -13,7 +14,7 @@ import pytest
 from qkslab import __version__
 from qkslab.cli import build_parser, main
 from qkslab.data import DEFAULT_SPLIT_RATIO, SubsetSpec
-from qkslab.experiment import DEFAULT_BINS, run_sweep, variability_study
+from qkslab.experiment import DEFAULT_BINS, METRICS, TrialRecord, run_sweep, variability_study
 from qkslab.feature_maps import DEFAULT_REPETITIONS
 from qkslab.kernels import quantum_config
 from qkslab.svm import DEFAULT_C, DEFAULT_TOL, train
@@ -198,6 +199,18 @@ def test_ptri_without_methods_is_an_error(dataset, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_ptri_with_a_repeated_method_is_an_error(dataset, tmp_path, capsys):
+    sweep_path = tmp_path / "sweep.json"
+    assert _run(["sweep", "--dataset", str(dataset), "--sizes", "30", "--features", "2",
+                 "--kernels", "rbf", "--trials", "1", "--out", str(sweep_path)], capsys)[0] == 0
+    out = tmp_path / "p.json"
+    code, text, err = _run(["ptri", "--sweep", str(sweep_path), "--methods", "rbf,rbf",
+                            "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "distinct" in err
+    assert text == "" and not out.exists()
+
+
 def test_ptri_baseline_without_reference_selection_is_an_error(dataset, tmp_path, capsys):
     sweep_path = tmp_path / "sweep.json"
     assert _run(["sweep", "--dataset", str(dataset), "--sizes", "30", "--features", "2",
@@ -252,6 +265,43 @@ def test_variability_command(dataset, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert len(doc["records"]) == 5
     assert "std=" in text
+
+
+def test_trial_record_and_metrics_are_the_schema_of_every_result_file(dataset, tmp_path, capsys):
+    fields = [f.name for f in dataclasses.fields(TrialRecord)]
+    columns = [name for name in fields if name != "fingerprint"]
+    assert [name for name in fields if name in METRICS] == list(METRICS)
+    metric, = (a for a in _subcommands()["ptri"]._actions if a.dest == "metric")
+    assert (tuple(metric.choices), metric.default) == (METRICS, METRICS[0])
+    docs = {}
+    for command, argv, prefix in (
+            ("sweep", ["--sizes", "24,30", "--features", "2,3", "--kernels", "z,rbf"],
+             ["features", "size", "kernel"]),
+            ("variability", ["--size", "30", "--features", "2"], [])):
+        out, table = tmp_path / f"{command}.json", tmp_path / f"{command}.csv"
+        code, _, err = _run([command, "--dataset", str(dataset), *argv, "--trials", "2",
+                             "--out", str(out), "--table", str(table)], capsys)
+        assert code == 0, err
+        docs[command] = json.loads(out.read_text())
+        assert table.read_text().splitlines()[0].split(",") == prefix + columns
+    records = [r for c in docs["sweep"]["cells"] for r in c["records"]]
+    assert {tuple(sorted(r)) for r in records + docs["variability"]["records"]} == {
+        tuple(sorted(fields))}
+
+    # a 1.x reader ignores a record key it does not know
+    for r in records:
+        r["smo_iterations"] = 7
+    (tmp_path / "extended.json").write_text(json.dumps(docs["sweep"]))
+    written = {"sweep": [], "extended": []}
+    for sweep, outputs in written.items():
+        path = f"{tmp_path}/{sweep}.json"
+        for argv in (["ptri", "--sweep", path, "--methods", "z,rbf", "--metric", METRICS[-1]],
+                     ["report", "--input", path]):
+            out = tmp_path / f"{sweep}.{argv[0]}"
+            code, _, err = _run([*argv, "--out", str(out)], capsys)
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+    assert written["extended"] == written["sweep"]
 
 
 def test_resources_command(tmp_path, capsys):

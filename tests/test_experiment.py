@@ -148,6 +148,19 @@ def test_reference_selection_single_trial_and_ties():
         select_reference_trials(sr, "missing")
 
 
+@settings(max_examples=50, deadline=None)
+@given(bas=st.lists(st.sampled_from((0.25, 0.5, 0.6, 0.7, 0.75, 1.0)), min_size=1, max_size=6))
+def test_reference_trials_are_the_nearest_trials_with_the_lowest_index(bas):
+    def nearest(target: float) -> int:  # reference: plain distance loop, ties to the lowest index
+        return min(range(len(bas)), key=lambda t: (abs(bas[t] - target), t))
+
+    sr = _fake_sweep({(5, 200, "m"): bas}, trials=len(bas))
+    refs = select_reference_trials(sr, "m")[ConfigPoint(5, 200)]
+    mean, _ = mean_std(bas)
+    assert (refs.closest_to_mean, refs.closest_to_min, refs.closest_to_max) == (
+        nearest(mean), nearest(min(bas)), nearest(max(bas)))
+
+
 def test_eqa_difference():
     sr = _fake_sweep({(5, 200, "q"): [0.68], (5, 200, "c"): [0.61]}, kernels=("q", "c"))
     diff = eqa_difference(sr, "q", "c")

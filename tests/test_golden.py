@@ -1,5 +1,8 @@
 """Every output byte of the pinned command lines matches ``golden.json`` (see ``golden``)."""
 import copy
+import shutil
+
+import pytest
 
 from qkslab import __version__
 
@@ -50,3 +53,27 @@ def test_the_diff_says_what_moved_in_each_kind_of_file():
         f"{variability['balanced_accuracy']!r} -> -1.0, F1 {variability['f1']!r} -> "
         f"{variability['f1']!r}",
     ]
+
+
+def test_regenerating_refuses_moved_bytes_until_the_version_is_bumped(tmp_path, monkeypatch):
+    fixture = tmp_path / "golden.json"
+    shutil.copyfile(golden.FIXTURE, fixture)
+    monkeypatch.setattr(golden, "FIXTURE", fixture)
+    files = {"sweep/out.csv": b"trial,balanced_accuracy\r\n0,0.5\r\n"}
+    monkeypatch.setattr(golden, "outputs", lambda directory: files)
+
+    def refused() -> str:
+        pinned = fixture.read_bytes()
+        with pytest.raises(SystemExit) as exit_:
+            golden.regenerate()
+        assert fixture.read_bytes() == pinned
+        return exit_.value.code
+
+    assert "sweep/out.json: only in the fixture" in refused()
+    monkeypatch.setattr(golden, "__version__", "9.9.9")
+    assert golden.regenerate()[0] == f"version {__version__} -> 9.9.9"
+    assert golden.regenerate() == []
+    files["sweep/out.csv"] = b"trial,balanced_accuracy\r\n0,0.75\r\n"
+    message = refused()
+    assert message.startswith("sweep/out.csv: first differing line 2: '0,0.5' -> '0,0.75'\n")
+    assert message.endswith("bump it first; golden.json is unchanged")
