@@ -86,7 +86,7 @@ def _blocks(spec: FeatureMapSpec, x: np.ndarray):
     for _ in range(spec.repetitions):
         yield [h(q) for q in range(n)]
         for layer in spec.pauli_layers:
-            y_basis = layer in ("Y", "YY")
+            y_basis = layer.startswith("Y")
             if len(layer) == 1:
                 block: list[Gate] = []
                 for q in range(n):

@@ -1,24 +1,27 @@
-"""Closed-form resource model for the Y+YY feature map, checked against built circuits.
+"""Resource model for the paper's Y+YY map, read off the builder and checked against built circuits.
 
-For F features and R repetitions, the builder's gate tally obeys
-
-    H  = F * R                P     = (2F - 1) * R
-    RX = (6F - 4) * R         CX    = (2F - 2) * R
-    Total = (11F - 7) * R     Depth = (5F - 1) * R
-
-with the qubit count equal to F regardless of R.  Every column is measured
-from a built circuit; depth runs the builder's blocks strictly one after
-another (``feature_maps.sequential_depth``).  The dependency-graph depth, which
-may overlap disjoint pair blocks, is reported as a diagnostic only.
+Every column (per-kind gate counts, their total, and depth) is R * (a*F + b)
+for F features and R repetitions: the builder emits the same blocks each
+repetition, and each layer adds a fixed number of gates per qubit or per
+adjacent pair.  ``estimate`` reads a and b off the builder's own tallies at
+R = 1 for F = 2 and F = 3, so ``feature_maps._blocks`` stays the only
+description of the map; the qubit count is F regardless of R.  Depth runs the
+builder's blocks strictly one after another (``feature_maps.sequential_depth``).
+The dependency-graph depth, which may overlap disjoint pair blocks, is
+reported as a diagnostic only.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import GateKind, dag_depth
-from .feature_maps import FeatureMapSpec, build_feature_map, sequential_depth
+from .feature_maps import PRESETS, FeatureMapSpec, build_feature_map, sequential_depth
+
+_LAYERS = PRESETS["yyy"]
+_COLUMNS = ("h", "rx", "p", "cx", "total", "depth")
 
 
 @dataclass(frozen=True)
@@ -41,25 +44,20 @@ class ResourceEstimate:
 
 
 def estimate(features: int, repetitions: int) -> ResourceEstimate:
-    """Evaluate the closed forms at (features, repetitions)."""
-    FeatureMapSpec(("Y", "YY"), features, repetitions)  # the map's own argument checks
-    f, r = features, repetitions
-    return ResourceEstimate(
-        features=f, repetitions=r,
-        h=f * r, rx=(6 * f - 4) * r, p=(2 * f - 1) * r, cx=(2 * f - 2) * r,
-        total=(11 * f - 7) * r, depth=(5 * f - 1) * r, qubits=f,
-    )
+    """Evaluate R * (a*F + b) per column, with a and b read off circuits built at F = 2 and 3."""
+    FeatureMapSpec(_LAYERS, features, repetitions)  # the map's own argument checks
+    two, three = measure(2, 1)[0], measure(3, 1)[0]
+    per_rep = {c: getattr(two, c) + (getattr(three, c) - getattr(two, c)) * (features - 2)
+               for c in _COLUMNS}
+    return ResourceEstimate(features=features, repetitions=repetitions, qubits=features,
+                            **{c: repetitions * v for c, v in per_rep.items()})
 
 
-def measure(features: int, repetitions: int, x: np.ndarray | None = None) -> tuple[ResourceEstimate, int]:
+def measure(features: int, repetitions: int) -> tuple[ResourceEstimate, int]:
     """Tally a built Y+YY circuit, depth from its blocks; returns (estimate, dag depth)."""
-    if x is None:
-        x = np.zeros(features)
-    spec = FeatureMapSpec(("Y", "YY"), features, repetitions)
-    circuit = build_feature_map(spec, x)
-    counts = {kind: 0 for kind in GateKind}
-    for g in circuit.gates:
-        counts[g.kind] += 1
+    spec = FeatureMapSpec(_LAYERS, features, repetitions)
+    circuit = build_feature_map(spec, np.zeros(features))  # gate counts do not depend on the data
+    counts = Counter(g.kind for g in circuit.gates)
     measured = ResourceEstimate(
         features=features, repetitions=repetitions,
         h=counts[GateKind.H], rx=counts[GateKind.RX], p=counts[GateKind.P], cx=counts[GateKind.CX],
@@ -76,11 +74,10 @@ class VerificationReport:
     match: bool
 
 
-def verify_against_circuit(features: int, repetitions: int,
-                           x: np.ndarray | None = None) -> VerificationReport:
-    """Compare the closed forms against an actually constructed circuit."""
+def verify_against_circuit(features: int, repetitions: int) -> VerificationReport:
+    """Compare the derived forms against a circuit built at (features, repetitions)."""
     formula = estimate(features, repetitions)
-    measured, graph_depth = measure(features, repetitions, x)
+    measured, graph_depth = measure(features, repetitions)
     return VerificationReport(formula, measured, graph_depth, formula == measured)
 
 

@@ -9,8 +9,9 @@ with maximal-violating-pair working-set selection and stops when the
 largest KKT violation drops to ``tol``.  The criterion -y * grad is kept up
 to date in place from two rows of K per step, and selection is a masked
 argmax/argmin over it (additive 0/inf working-set masks), so ties break on
-the lowest index and training is fully deterministic.  The solver is
-bit-identical to the plain loop ``tests/oracles.reference_smo``.
+the lowest index and training is fully deterministic.  Its alphas, bias,
+iteration count, convergence flag and warnings are bit-identical to the
+plain loop ``tests/oracles.reference_smo``.
 """
 from __future__ import annotations
 
@@ -50,13 +51,8 @@ class SvmModel:
         return np.flatnonzero(self.alphas > 1e-12)
 
 
-def train(gram: GramMatrix, labels, C: float = DEFAULT_C, tol: float = DEFAULT_TOL,
-          callback=None) -> SvmModel:
-    """Fit the dual on a symmetric training gram.
-
-    ``callback(iteration, dual_objective)`` fires once per SMO step when
-    given; useful for monitoring convergence.
-    """
+def train(gram: GramMatrix, labels, C: float = DEFAULT_C, tol: float = DEFAULT_TOL) -> SvmModel:
+    """Fit the dual on a symmetric training gram."""
     if not gram.symmetric:
         raise ValueError("training requires a symmetric GramMatrix")
     y = np.asarray(labels, dtype=np.float64)
@@ -120,8 +116,6 @@ def train(gram: GramMatrix, labels, C: float = DEFAULT_C, tol: float = DEFAULT_T
         low_off[i] = 0.0 if (new_i > 0 if y_i > 0 else new_i < C) else np.inf
         up_off[j] = 0.0 if (new_j < C if y_j > 0 else new_j > 0) else -np.inf
         low_off[j] = 0.0 if (new_j > 0 if y_j > 0 else new_j < C) else np.inf
-        if callback is not None:
-            callback(iteration, 0.5 * float(np.array(alpha) @ (1.0 + y * crit)))
     alpha = np.array(alpha)
     if not converged:
         warnings.warn(f"SMO did not reach tol={tol} within {_MAX_ITER} iterations",

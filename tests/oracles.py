@@ -155,7 +155,7 @@ _SMO_TAU = 1e-12
 _SMO_MAX_ITER = 1_000_000
 
 
-def reference_smo(K: np.ndarray, y: np.ndarray, C: float, tol: float, callback=None):
+def reference_smo(K: np.ndarray, y: np.ndarray, C: float, tol: float):
     """The SMO loop written plainly: the criterion, both working-set masks and
     both masked candidate vectors are recomputed with ``np.where`` each step,
     and columns of K are read.  Returns ``(alphas, bias, n_iter, converged)``.
@@ -200,8 +200,6 @@ def reference_smo(K: np.ndarray, y: np.ndarray, C: float, tol: float, callback=N
         grad += y * (y[i] * K[:, i]) * (new_i - alpha[i])
         grad += y * (y[j] * K[:, j]) * (new_j - alpha[j])
         alpha[i], alpha[j] = new_i, new_j
-        if callback is not None:
-            callback(iteration, 0.5 * float(alpha @ (1.0 - grad)))
     if not converged:
         warnings.warn(f"SMO did not reach tol={tol} within {_SMO_MAX_ITER} iterations",
                       RuntimeWarning, stacklevel=2)

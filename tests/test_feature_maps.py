@@ -105,6 +105,37 @@ def test_yyy_count_formulas(features, reps):
     assert c.num_qubits == features  # independent of reps
 
 
+# Per repetition, as functions of F: (H, RX, P, CX, total, sequential depth).
+_PRESET_FORMS = {
+    "z": lambda f: (f, 0, f, 0, 2 * f, 2),
+    "zz": lambda f: (f, 0, f - 1, 2 * f - 2, 4 * f - 3, 3 * f - 2),
+    "yyy": lambda f: (f, 6 * f - 4, 2 * f - 1, 2 * f - 2, 11 * f - 7, 5 * f - 1),
+    "yzz": lambda f: (f, 2 * f, 2 * f - 1, 2 * f - 2, 7 * f - 3, 3 * f + 1),
+    "zzz": lambda f: (f, 0, 2 * f - 1, 2 * f - 2, 5 * f - 3, 3 * f - 1),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("reps", range(1, 4))
+def test_preset_count_forms(preset, reps):
+    lo = 1 if preset == "z" else 2
+    for features in range(lo, 11):
+        spec = FeatureMapSpec.from_preset(preset, features, reps)
+        c = build_feature_map(spec, np.zeros(features))
+        counts = _counts(c)
+        tally = (counts[GateKind.H], counts[GateKind.RX], counts[GateKind.P], counts[GateKind.CX],
+                 len(c.gates), sequential_depth(spec))
+        assert tally == tuple(reps * v for v in _PRESET_FORMS[preset](features)), features
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_gate_sequence_does_not_depend_on_data(preset):
+    spec = FeatureMapSpec.from_preset(preset, 5, 2)
+    a, b = (build_feature_map(spec, x) for x in (np.linspace(0, 3, 5), np.linspace(-1, 1, 5)))
+    assert a.gates != b.gates  # the angles do follow the data
+    assert [(g.kind, g.qubits) for g in a.gates] == [(g.kind, g.qubits) for g in b.gates]
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_presets_build_and_z_has_no_basis_changes(preset):
     f = 1 if preset == "z" else 3

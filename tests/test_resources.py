@@ -1,7 +1,8 @@
 """Tests for the closed-form resource model and its circuit verification."""
-import numpy as np
 import pytest
 
+from qkslab import feature_maps
+from qkslab.circuits import GateKind, h
 from qkslab.resources import (ResourceEstimate, TABLE_HEADER, estimate, measure,
                               verification_table, verify_against_circuit)
 
@@ -56,10 +57,20 @@ def test_verification_sweep(features, reps):
     assert report.formula == report.measured
 
 
-def test_counts_do_not_depend_on_data():
-    a, _ = measure(5, 2, np.linspace(0, 3, 5))
-    b, _ = measure(5, 2, np.linspace(-1, 1, 5))
-    assert a == b
+def test_estimate_follows_the_builder(monkeypatch):
+    blocks = feature_maps._blocks
+
+    def with_extra_hadamard(spec, x):
+        for block in blocks(spec, x):
+            yield block
+            if block[0].kind is GateKind.H:  # after each Hadamard wall
+                yield [h(0)]
+
+    monkeypatch.setattr(feature_maps, "_blocks", with_extra_hadamard)
+    for features, reps in ((2, 1), (4, 2), (7, 3)):
+        report = verify_against_circuit(features, reps)
+        assert report.match
+        assert report.formula.h == (features + 1) * reps
 
 
 def test_linearity_in_repetitions_of_measured_circuits():

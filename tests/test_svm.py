@@ -117,26 +117,38 @@ def _indefinite_4x4() -> np.ndarray:
     return values - 0.6 * np.eye(4)  # push an eigenvalue negative
 
 
-def test_objective_is_monotone_and_indefinite_gram_warns():
-    values = _indefinite_4x4()
+def _objective_history(monkeypatch, K, y, n_iter):
+    """Dual objective after each SMO step: train stopped after k steps, k = 1..n_iter."""
     history = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # stopping early warns by design
+        for k in range(1, n_iter + 1):
+            monkeypatch.setattr(svm, "_MAX_ITER", k)
+            history.append(svm_dual_objective(train(_sym_gram(K), y, C=1.0).alphas, K, y))
+    return history
+
+
+def test_objective_is_monotone_and_indefinite_gram_warns(monkeypatch):
+    values = _indefinite_4x4()
+    y = np.array([1.0, -1.0, 1.0, -1.0])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        model = train(_sym_gram(values), [1, -1, 1, -1], C=1.0,
-                      callback=lambda it, w: history.append(w))
+        model = train(_sym_gram(values), y, C=1.0)
     assert any("positive semidefinite" in str(w.message) for w in caught)
     assert model.converged
+    history = _objective_history(monkeypatch, values, y, model.n_iter)
     for prev, cur in zip(history, history[1:]):
         assert cur >= prev - 1e-9
 
 
-def test_monotone_objective_on_psd_problems():
+def test_monotone_objective_on_psd_problems(monkeypatch):
     rng = np.random.default_rng(41)
     K = _random_psd(rng, 8)
     y = rng.choice([-1.0, 1.0], size=8)
     y[:2] = (1.0, -1.0)
-    history = []
-    train(_sym_gram(K), y, C=1.0, callback=lambda it, w: history.append(w))
+    model = train(_sym_gram(K), y, C=1.0)
+    history = _objective_history(monkeypatch, K, y, model.n_iter)
+    assert len(history) == model.n_iter > 1
     assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
 
 
@@ -254,18 +266,15 @@ def _all_at_bound_case():
         "duplicate-rows", "C1e-3-all-at-bound"])
 def test_smo_matches_reference_loop_bitwise(case):
     K, y, C = case()
-    got_history, ref_history = [], []
     with warnings.catch_warnings(record=True) as got_warnings:
         warnings.simplefilter("always")
-        model = train(_sym_gram(K), y, C=C, callback=lambda it, w: got_history.append((it, w)))
+        model = train(_sym_gram(K), y, C=C)
     with warnings.catch_warnings(record=True) as ref_warnings:
         warnings.simplefilter("always")
-        alphas, bias, n_iter, converged = reference_smo(
-            K, y, C, 1e-3, callback=lambda it, w: ref_history.append((it, w)))
+        alphas, bias, n_iter, converged = reference_smo(K, y, C, 1e-3)
     assert model.alphas.tobytes() == alphas.tobytes()
     assert model.bias == bias
     assert model.n_iter == n_iter and model.converged == converged
-    assert got_history == ref_history
     assert [str(w.message) for w in got_warnings] == [str(w.message) for w in ref_warnings]
     if C == 1e-3:  # the bias comes from the empty-free-set branch
         assert not np.any((alphas > 0) & (alphas < C))
