@@ -393,75 +393,36 @@ def synthetic_raw_series(seed: int, days: int = DEFAULT_DAYS) -> RawSeries:
     })
 
 
-def write_synthetic_csvs(index_path, gold_path, seed: int, days: int = DEFAULT_DAYS) -> None:
-    """Emit the generator's series in the documented CSV schemas.
-
-    The index file uses thousands separators, K/M volume suffixes, and
-    descending date order; the gold file starts a week earlier and skips
-    ~6% of dates so the join has to forward-fill.
-    """
-    series = synthetic_raw_series(seed, days)
-    rng = np.random.default_rng(mix64(seed, 0x435356))
-
-    def sep(v: float) -> str:
-        return f"{v:,.2f}"
-
-    def vol(v: float) -> str:
-        return f"{v / 1e6:.2f}M" if v >= 1e6 else f"{v / 1e3:.2f}K"
-
-    with open(index_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Date", "Price", "Open", "High", "Low", "Vol.", "Change %"])
-        for i in reversed(range(len(series))):
-            c = series.columns
-            writer.writerow([
-                series.dates[i].strftime("%m/%d/%Y"), sep(c["price"][i]), sep(c["open"][i]),
-                sep(c["high"][i]), sep(c["low"][i]), vol(c["volume"][i]),
-                f"{c['change_pct'][i]:.2f}%",
-            ])
-
-    lead = _weekdays(series.dates[0] - timedelta(days=9), 5)
-    gold_dates = [d for d in lead if d < series.dates[0]] + list(series.dates)
-    gold_rng = np.random.default_rng(mix64(seed, 0x474C44))
-    by_date = {d: float(series.columns["gold_price"][i]) for i, d in enumerate(series.dates)}
-    base = float(series.columns["gold_price"][0])
-    with open(gold_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Date", "Price"])
-        for i, d in enumerate(gold_dates):
-            if i > 0 and gold_rng.random() < 0.06:
-                continue  # simulated publication gap; the join forward-fills it
-            price = by_date.get(d, base * float(np.exp(rng.standard_normal() * 0.004)))
-            writer.writerow([d.strftime("%m/%d/%Y"), f"{price:.2f}"])
-
-
 def synthetic_dataset(seed: int, days: int = DEFAULT_DAYS,
                       feature_columns: tuple[str, ...] = DEFAULT_FEATURES) -> Dataset:
     """Labeled dataset straight from the synthetic series."""
     return label_direction(synthetic_raw_series(seed, days), feature_columns=feature_columns)
 
 
-def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
-                              informative: int = 5, anchors: int = 24) -> Dataset:
+_INFORMATIVE = 5  # features that carry quantum_separable_dataset's labels
+_ANCHORS = 24  # fidelity-kernel bumps that define them
+
+
+def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7) -> Dataset:
     """Binary dataset whose labels are realizable by a yyy kernel machine at default repetitions.
 
     Labels come from the sign of a signed sum of fidelity-kernel bumps
-    around random anchor points, thresholded at its median, over the first
-    ``informative`` features; extra features are jittered copies of the
-    first ones.  The phase-periodic structure means Euclidean-distance
-    kernels see little usable geometry.  Rows with the weakest margin are
-    discarded to keep the classes crisp.
+    around 24 random anchor points, thresholded at its median, over the first
+    5 features; extra features are jittered copies of the first ones, so
+    ``num_features`` is at least 5.  The phase-periodic structure means
+    Euclidean-distance kernels see little usable geometry.  Rows with the
+    weakest margin are discarded to keep the classes crisp.
     """
-    if num_features < informative:
-        raise ValueError("num_features must be >= informative")
+    if num_features < _INFORMATIVE:
+        raise ValueError(f"num_features must be >= {_INFORMATIVE}")
     if rows % 2:
         rows += 1
     rng = np.random.default_rng(mix64(seed, 0x515345))
     pool = max(int(rows * 2.5), rows + 16)
-    base = rng.uniform(0.0, pi, size=(pool, informative))
-    anchor_x = rng.uniform(0.0, pi, size=(anchors, informative))
-    coeff = np.where(np.arange(anchors) % 2 == 0, 1.0, -1.0)
-    score = gram_matrix(base, anchor_x, quantum_config("yyy", informative)).values @ coeff
+    base = rng.uniform(0.0, pi, size=(pool, _INFORMATIVE))
+    anchor_x = rng.uniform(0.0, pi, size=(_ANCHORS, _INFORMATIVE))
+    coeff = np.where(np.arange(_ANCHORS) % 2 == 0, 1.0, -1.0)
+    score = gram_matrix(base, anchor_x, quantum_config("yyy", _INFORMATIVE)).values @ coeff
     margin = score - np.median(score)
     pos_idx = np.flatnonzero(margin > 0)
     neg_idx = np.flatnonzero(margin <= 0)
@@ -471,9 +432,9 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7,
     picked = picked[rng.permutation(len(picked))]
 
     X = np.empty((rows, num_features))
-    X[:, :informative] = base[picked]
-    for extra in range(informative, num_features):
-        src = extra - informative
+    X[:, :_INFORMATIVE] = base[picked]
+    for extra in range(_INFORMATIVE, num_features):
+        src = extra - _INFORMATIVE
         X[:, extra] = np.clip(base[picked, src] + rng.normal(0.0, 0.15, size=rows), 0.0, pi)
     labels = np.where(margin[picked] > 0, 1, -1).astype(np.int64)
     names = tuple(f"x{i}" for i in range(num_features))
@@ -507,10 +468,16 @@ def read_dataset(path) -> Dataset:
     doc = read_json(path, {DATASET_FORMAT: DATASET_VERSION})
     with fields(path):
         rows = doc["rows"]
+        features, labels = [r["features"] for r in rows], [r["label"] for r in rows]
+        # numpy reads true as 1 and truncates 1.5 to 1: check the JSON values themselves
+        if {type(v) for v in labels} - {int} or not set(labels) <= {-1, 1}:
+            raise ValueError("labels must be the integers -1 or +1")
+        if {type(v) for row in features for v in row} - {int, float}:
+            raise ValueError("features must be numbers")
         return Dataset(
             tuple(doc["feature_names"]),
             tuple(r["id"] for r in rows),
             tuple(date.fromisoformat(r["date"]) for r in rows),
-            np.array([r["features"] for r in rows], dtype=np.float64),
-            np.array([r["label"] for r in rows], dtype=np.int64),
+            np.array(features, dtype=np.float64),
+            np.array(labels, dtype=np.int64),
         )

@@ -1,4 +1,4 @@
-"""The files qkslab writes: tagged JSON documents, which it reads back, and CSV tables.
+"""The files qkslab writes: tagged JSON documents, read back but for Gram files, and CSV tables.
 
 A dataset, Gram, sweep, PTRI, variability or manifest file is a JSON object
 with a ``format`` tag and a ``version``, written as one line of compact JSON

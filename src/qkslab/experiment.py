@@ -45,6 +45,14 @@ class TrialRecord:
     f1: float
     fingerprint: str  # digest of the train/test row ids (paired-design witness)
 
+    def __post_init__(self) -> None:
+        # refuse what no sweep writes: bool is an int subclass, and JSON reads true as one
+        kinds = {"trial": int, "trial_seed": int, "fingerprint": str} | dict.fromkeys(METRICS, (int, float))
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or name in METRICS and not 0 <= value <= 1:
+                raise ValueError(f"record field {name} cannot hold {value!r}")
+
 
 @dataclass(eq=False)
 class SweepResult:
@@ -159,13 +167,12 @@ def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
 
 @dataclass(frozen=True)
 class ReferenceTrials:
-    closest_to_mean: int
     closest_to_min: int
     closest_to_max: int
 
 
 def select_reference_trials(sr: SweepResult, baseline: str) -> dict[ConfigPoint, ReferenceTrials]:
-    """Trial indices where the baseline's BA is nearest its mean/min/max.
+    """Trial indices where the baseline's BA is lowest and highest.
 
     Ties break toward the lowest trial index.
     """
@@ -173,10 +180,8 @@ def select_reference_trials(sr: SweepResult, baseline: str) -> dict[ConfigPoint,
         raise ValueError(f"baseline kernel {baseline!r} not present in the sweep")
     out: dict[ConfigPoint, ReferenceTrials] = {}
     for cfg in sr.configs:
-        bas = np.array(sr.metric_values(cfg, baseline))
-        mean, _ = mean_std(bas)
-        out[cfg] = ReferenceTrials(int(np.argmin(np.abs(bas - mean))), int(np.argmin(bas)),
-                                   int(np.argmax(bas)))
+        bas = sr.metric_values(cfg, baseline)
+        out[cfg] = ReferenceTrials(int(np.argmin(bas)), int(np.argmax(bas)))
     return out
 
 
@@ -314,6 +319,11 @@ RECORD_FIELDS = tuple(f.name for f in record_fields(TrialRecord))
 TABLE_FIELDS = tuple(name for name in RECORD_FIELDS if name != "fingerprint")  # CSV record columns
 
 
+def _record(r: dict) -> TrialRecord:
+    """A document's record, checked as a ``TrialRecord``; keys beyond its fields are ignored."""
+    return TrialRecord(**{name: r[name] for name in RECORD_FIELDS})
+
+
 def sweep_to_doc(sr: SweepResult) -> dict:
     cells = []
     for (features, size, kernel), records in sorted(sr.cells.items()):
@@ -351,8 +361,7 @@ def sweep_from_doc(doc: dict, where="document") -> SweepResult:
                 raise ValueError(f"cell {key} names a kernel the sweep does not list")
             if ConfigPoint(*key[:2]) not in configs or key in cells:
                 raise ValueError(f"cell {key} is off the sweep's grid or listed twice")
-            cells[key] = [TrialRecord(**{name: r[name] for name in RECORD_FIELDS})
-                          for r in cell["records"]]
+            cells[key] = [_record(r) for r in cell["records"]]
         missing = [(c.features, c.size, k) for c in configs for k in kernels
                    if (c.features, c.size, k) not in cells]
         if missing:
@@ -389,6 +398,7 @@ def result_table_rows(doc: dict, where="document") -> tuple[list[str], list[list
     kind = check_format(doc, RESULT_FORMATS, where)
 
     def columns(r: dict) -> list:
+        r = vars(_record(r))  # the checked record's fields
         return [repr(r[name]) if name in METRICS else r[name] for name in TABLE_FIELDS]
 
     with fields(where):

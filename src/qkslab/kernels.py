@@ -16,7 +16,8 @@ cross entry (test i, train j), so Gram assembly is independent of evaluation
 order and parallelism.
 
 A Gram file is a ``qkslab-gram`` document (see ``documents``) holding the
-kernel (``config_to_doc``), the map's feature count, ids and exact values.
+kernel (``config_to_doc``), the map's feature count, ids and exact values;
+qkslab writes it and never reads it back.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .documents import fields, read_json, write_json
+from .documents import write_json
 from .feature_maps import DEFAULT_REPETITIONS, FeatureMapSpec, build_feature_map
 from .seeding import mix64
 from .simulator import sample_zero_count, simulate
@@ -225,12 +226,12 @@ def gram_matrix(rows: np.ndarray, cols: np.ndarray | None, config: KernelConfig,
 
 
 def gram_pair(train_x: np.ndarray, test_x: np.ndarray, config: KernelConfig,
-              train_ids: tuple[str, ...] | None = None, test_ids: tuple[str, ...] | None = None,
-              clip: bool = True) -> tuple[GramMatrix, GramMatrix]:
-    """Train gram (``clip`` as in ``gram_matrix``) and test-by-train cross gram, one state per sample."""
+              train_ids: tuple[str, ...] | None = None,
+              test_ids: tuple[str, ...] | None = None) -> tuple[GramMatrix, GramMatrix]:
+    """Train gram (clipped as in ``gram_matrix``) and test-by-train cross gram, one state per sample."""
     config, test, train = _points(config, test_x, train_x)
-    train_gram = _gram(config, train, None, train_ids, None, clip)
-    return train_gram, _gram(config, test, train, test_ids, train_gram.row_ids, clip)
+    train_gram = _gram(config, train, None, train_ids, None, clip=True)
+    return train_gram, _gram(config, test, train, test_ids, train_gram.row_ids, clip=True)
 
 
 def psd_clip(gram: GramMatrix) -> GramMatrix:
@@ -250,10 +251,6 @@ def psd_clip(gram: GramMatrix) -> GramMatrix:
 
 # --- gram file format -------------------------------------------------------
 
-GRAM_FORMAT = "qkslab-gram"
-GRAM_VERSION = "2.0"
-
-
 def config_to_doc(config: KernelConfig) -> dict:
     """The kernel fields a sweep or Gram file records; feature counts are the file's own."""
     doc = {"name": config.name, "kind": config.kind, "mode": config.mode,
@@ -269,24 +266,10 @@ def config_to_doc(config: KernelConfig) -> dict:
 def write_gram(gram: GramMatrix, path) -> None:
     fm = gram.config.feature_map
     write_json({
-        "format": GRAM_FORMAT, "version": GRAM_VERSION,
+        "format": "qkslab-gram", "version": "2.0",
         "kernel": config_to_doc(gram.config),
         "features": None if fm is None else fm.num_features,
         "symmetric": gram.symmetric,
         "row_ids": list(gram.row_ids), "col_ids": list(gram.col_ids),
         "values": gram.values.tolist(),
     }, path)
-
-
-def read_gram(path) -> GramMatrix:
-    """A Gram file's matrix; its kernel description must be exactly what ``config_to_doc`` writes."""
-    doc = read_json(path, {GRAM_FORMAT: GRAM_VERSION})
-    with fields(path):
-        k = doc["kernel"]
-        spec = (FeatureMapSpec(k["pauli_layers"], doc["features"], k["repetitions"])
-                if k["kind"] == "quantum" else None)
-        config = KernelConfig(spec, k.get("gamma"), k["shots"], k["master_seed"], k["name"])
-        if config_to_doc(config) != k:
-            raise ValueError(f"kernel description {k} is not one this version writes")
-        return GramMatrix(np.array(doc["values"], dtype=np.float64), tuple(doc["row_ids"]),
-                          tuple(doc["col_ids"]), config, bool(doc["symmetric"]))

@@ -18,10 +18,6 @@ class ConfusionMatrix:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValueError("confusion counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def check_labels(y: np.ndarray) -> None:
     """Refuse any label that is not exactly -1 or +1 (NaN and -0.0 included)."""

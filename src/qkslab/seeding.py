@@ -7,13 +7,13 @@ evaluation order.  Two generators draw from those seeds:
 - shots-mode kernel entries draw their per-shot uniforms from the SplitMix64
   stream below: 64-bit integer arithmetic, the same on every platform and
   numpy version;
-- ``data.sample_subset`` and the three data generators
-  (``synthetic_raw_series``, ``write_synthetic_csvs``,
-  ``quantum_separable_dataset``) draw from ``np.random.default_rng(mix64(...))``,
-  numpy's PCG64.  numpy keeps that bit stream, but does not promise that its
-  ``permutation``, ``standard_normal``, ``uniform`` and other methods map it to
-  the same values in another numpy version (NEP 19), so their subsets and data
-  are reproducible bit-for-bit under one numpy version.
+- ``data.sample_subset`` and the two data generators
+  (``synthetic_raw_series``, ``quantum_separable_dataset``) draw from
+  ``np.random.default_rng(mix64(...))``, numpy's PCG64.  numpy keeps that bit
+  stream, but does not promise that its ``permutation``, ``standard_normal``,
+  ``uniform`` and other methods map it to the same values in another numpy
+  version (NEP 19), so their subsets and data are reproducible bit-for-bit
+  under one numpy version.
 
 The mixing function is the SplitMix64 finalizer (Steele, Lea & Flood 2014):
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from qkslab import __version__
 from qkslab.cli import main
-from qkslab.data import write_synthetic_csvs
+
+from synthetic_csvs import write_synthetic_csvs
 
 FIXTURE = Path(__file__).with_name("golden.json")
 

@@ -14,12 +14,14 @@ import pytest
 from qkslab import __version__
 from qkslab.cli import build_parser, main
 from qkslab.data import DEFAULT_SPLIT_RATIO, SubsetSpec
+from qkslab.documents import read_json
 from qkslab.experiment import DEFAULT_BINS, METRICS, TrialRecord, run_sweep, variability_study
 from qkslab.feature_maps import DEFAULT_REPETITIONS
-from qkslab.kernels import quantum_config
+from qkslab.kernels import GramMatrix, config_to_doc, psd_clip, quantum_config
 from qkslab.svm import DEFAULT_C, DEFAULT_TOL, train
 
 from golden import COMMAND_LINES, command_line, make_inputs
+from synthetic_csvs import write_synthetic_csvs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -32,6 +34,10 @@ def _run(argv, capsys):
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _gram_doc(path) -> dict:
+    return read_json(path, {"qkslab-gram": "2.0"})
 
 
 @pytest.fixture()
@@ -54,8 +60,6 @@ def test_ingest_synthetic_prints_summary(tmp_path, capsys):
 
 
 def test_ingest_from_csvs_and_missing_file(tmp_path, capsys):
-    from qkslab.data import write_synthetic_csvs
-
     write_synthetic_csvs(tmp_path / "i.csv", tmp_path / "g.csv", 5, days=60)
     code, out, _ = _run(["ingest", "--index", str(tmp_path / "i.csv"),
                          "--gold", str(tmp_path / "g.csv"),
@@ -82,8 +86,6 @@ def test_ingest_synthetic_keeps_the_requested_columns(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [["--synthetic", "3"], ["--days", "60"]],
                          ids=["synthetic-with-csvs", "days-with-csvs"])
 def test_ingest_rejects_options_it_would_ignore(tmp_path, capsys, extra):
-    from qkslab.data import write_synthetic_csvs
-
     write_synthetic_csvs(tmp_path / "i.csv", tmp_path / "g.csv", 5, days=60)
     out_path = tmp_path / "ds.json"
     code, _, err = _run(["ingest", "--index", str(tmp_path / "i.csv"), "--gold",
@@ -99,11 +101,9 @@ def test_kernel_exact_diagonal(dataset, tmp_path, capsys):
                           "--features", "3", "--size", "24", "--seed", "5",
                           "--out", str(out)], capsys)
     assert code == 0
-    from qkslab.kernels import read_gram
-
-    gram = read_gram(out)
-    assert gram.symmetric
-    assert all(v == 1.0 for v in gram.values.diagonal())
+    gram = _gram_doc(out)
+    assert gram["symmetric"]
+    assert all(v == 1.0 for v in np.diagonal(gram["values"]))
 
 
 def test_kernel_shot_cap(dataset, tmp_path, capsys):
@@ -135,11 +135,10 @@ def test_kernel_test_rows_are_rectangular(dataset, tmp_path, capsys):
                           "--features", "3", "--size", "30", "--rows", "test",
                           "--out", str(out)], capsys)
     assert code == 0
-    from qkslab.kernels import read_gram
-
-    gram = read_gram(out)
-    assert not gram.symmetric
-    assert gram.values.shape[0] < gram.values.shape[1]
+    gram = _gram_doc(out)
+    assert not gram["symmetric"]
+    assert np.shape(gram["values"]) == (len(gram["row_ids"]), len(gram["col_ids"]))
+    assert len(gram["row_ids"]) < len(gram["col_ids"])
 
 
 def test_sweep_ptri_report_chain(dataset, tmp_path, capsys):
@@ -342,10 +341,10 @@ def _cell(kernel: str, features: int = 2, trials=(0,), score=0.5) -> dict:
                          "fingerprint": "x"} for t in trials]}
 
 
-def _dataset_doc(value) -> dict:
+def _dataset_doc(value, label=-1) -> dict:
     return {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"],
             "rows": [{"id": "a", "date": "2018-01-02", "features": [0.5], "label": 1},
-                     {"id": "b", "date": "2018-01-03", "features": [value], "label": -1}]}
+                     {"id": "b", "date": "2018-01-03", "features": [value], "label": label}]}
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -361,11 +360,21 @@ def _dataset_doc(value) -> dict:
     ("ptri", {**_SWEEP_DOC, "trials": 2, "cells": [_cell("rbf", trials=(1, 0))]}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
+    ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score="0.5")]}),
+    ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score=7.5)]}),
+    ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score=True)]}),
+    ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score="0.5")]}),
+    ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=7.5)]}),
+    ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=True)]}),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0", "x1"]}),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"],
                "rows": [{"id": "r1", "date": "2018-13-01", "features": [0.5], "label": 1}]}),
     ("sweep", _dataset_doc(float("nan"))),
     ("sweep", _dataset_doc(float("-inf"))),
+    ("sweep", _dataset_doc(0.5, label=1.5)),
+    ("sweep", _dataset_doc(0.5, label=-1.9)),
+    ("sweep", _dataset_doc(0.5, label=True)),
+    ("sweep", _dataset_doc(True)),
     ("report", []),
     ("ptri", []),
     ("sweep", []),
@@ -375,8 +384,11 @@ def _dataset_doc(value) -> dict:
 ], ids=["sweep-without-kernels", "cell-without-records", "sweep-without-cells",
         "cell-of-unlisted-kernel", "kernel-listed-twice", "grid-point-listed-twice",
         "cell-off-the-grid", "cell-listed-twice", "trial-index-repeated", "trials-out-of-order",
-        "ptri-nan-score", "report-nan-score",
+        "ptri-nan-score", "report-nan-score", "ptri-string-score", "ptri-score-above-one",
+        "ptri-bool-score", "report-string-score", "report-score-above-one", "report-bool-score",
         "dataset-without-rows", "dataset-bad-date", "dataset-nan-feature", "dataset-inf-feature",
+        "dataset-label-one-and-a-half", "dataset-label-minus-one-point-nine", "dataset-label-true",
+        "dataset-feature-true",
         "report-list", "ptri-list", "sweep-list",
         "sweep-not-json", "ptri-not-json", "report-not-json"])
 def test_malformed_input_files_are_errors(tmp_path, capsys, command, doc):
@@ -488,7 +500,6 @@ def test_replay_rejects_a_manifest_from_another_tool_version(tmp_path, capsys):
                          ids=["exact-yyy", "shots-zz", "rbf"])
 def test_kernel_writes_the_grams_of_sweep_trial_0(dataset, tmp_path, capsys, monkeypatch, kernel):
     from qkslab import experiment
-    from qkslab.kernels import read_gram
 
     pairs = []
     gram_pair = experiment.gram_pair
@@ -512,11 +523,12 @@ def test_kernel_writes_the_grams_of_sweep_trial_0(dataset, tmp_path, capsys, mon
                              "--features", "3", "--size", "24", "--seed", "5", "--rows", rows,
                              "--out", str(out)], capsys)
         assert code == 0, err
-        grams[rows] = read_gram(out)
+        grams[rows] = _gram_doc(out)
     for written, scored in ((grams["train"], train), (grams["test"], cross)):
-        assert (written.row_ids, written.col_ids) == (scored.row_ids, scored.col_ids)
-        assert np.array_equal(written.values, scored.values)
-    ids = " ".join(grams["train"].row_ids) + "|" + " ".join(grams["test"].row_ids)
+        assert (written["row_ids"], written["col_ids"]) == (list(scored.row_ids), list(scored.col_ids))
+        assert np.array_equal(np.array(written["values"]), scored.values)
+        assert written["kernel"] == config_to_doc(scored.config)
+    ids = " ".join(grams["train"]["row_ids"]) + "|" + " ".join(grams["test"]["row_ids"])
     record, = json.loads(sweep_path.read_text())["cells"][0]["records"]
     assert hashlib.sha256(ids.encode()).hexdigest()[:16] == record["fingerprint"]
 
@@ -561,18 +573,19 @@ def test_sweep_shots_and_gamma_apply_to_one_kernel_each(dataset, tmp_path, capsy
 
 
 def test_no_psd_clip_keeps_the_sampled_train_gram(dataset, tmp_path, capsys):
-    from qkslab.kernels import psd_clip, read_gram
-
     argv = ["kernel", "--dataset", str(dataset), "--map", "zz", "--features", "3",
             "--size", "24", "--mode", "shots", "--shots", "64", "--seed", "2"]
     for name, extra in (("raw", ["--no-psd-clip"]), ("clipped", [])):
         code, _, err = _run([*argv, *extra, "--out", str(tmp_path / name)], capsys)
         assert code == 0, err
-    raw, clipped = read_gram(tmp_path / "raw"), read_gram(tmp_path / "clipped")
-    counts = raw.values * 64
+    raw_doc = _gram_doc(tmp_path / "raw")
+    raw, clipped = np.array(raw_doc["values"]), np.array(_gram_doc(tmp_path / "clipped")["values"])
+    counts = raw * 64
     assert np.array_equal(counts, np.round(counts))
-    assert not np.array_equal(raw.values, clipped.values)
-    assert np.array_equal(clipped.values, psd_clip(raw).values)
+    assert not np.array_equal(raw, clipped)
+    ids = tuple(raw_doc["row_ids"])
+    raw_gram = GramMatrix(raw, ids, ids, quantum_config("zz", 3, shots=64), True)
+    assert np.array_equal(clipped, psd_clip(raw_gram).values)
 
 
 @pytest.mark.parametrize("files", [

@@ -10,9 +10,10 @@ import pytest
 from qkslab.data import (DEFAULT_FEATURES, Dataset, ParseError, RawSeries,
                          SubsetSpec, apply_scale, fit_scale, ingest, label_direction,
                          quantum_separable_dataset, read_dataset, sample_subset, scale_split,
-                         synthetic_dataset, synthetic_raw_series, write_dataset,
-                         write_synthetic_csvs)
+                         synthetic_dataset, synthetic_raw_series, write_dataset)
 from qkslab.documents import write_json
+
+from synthetic_csvs import write_synthetic_csvs
 
 
 def _write(path, text):

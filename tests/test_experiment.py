@@ -59,9 +59,9 @@ def test_paired_design_shares_subsets_across_kernels():
 
 
 def test_separable_dataset_reaches_high_accuracy():
-    ds = quantum_separable_dataset(29, rows=120, num_features=2, informative=2, anchors=12)
-    sr = run_sweep(ds, [(2, 80)], [quantum_config("yyy", 2, 2)], trials=10, master_seed=11)
-    mean, _ = mean_std(sr.metric_values(ConfigPoint(2, 80), "yyy"))
+    ds = quantum_separable_dataset(29, rows=160, num_features=5)
+    sr = run_sweep(ds, [(5, 120)], [quantum_config("yyy", 5, 2)], trials=10, master_seed=11)
+    mean, _ = mean_std(sr.metric_values(ConfigPoint(5, 120), "yyy"))
     assert mean >= 0.9
 
 
@@ -71,6 +71,18 @@ def test_sweep_errors_are_annotated():
     ds = synthetic_dataset(4, days=50)
     with pytest.raises(ExperimentError, match=r"F=2, N=4000"):
         run_sweep(ds, [(2, 4000)], [rbf_config()], trials=1, master_seed=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trial", True), ("trial", 0.0), ("trial_seed", False), ("trial_seed", "1"),
+    ("balanced_accuracy", True), ("balanced_accuracy", "0.5"), ("balanced_accuracy", 7.5),
+    ("f1", -0.1), ("f1", float("nan")), ("fingerprint", 3),
+])
+def test_trial_record_refuses_what_no_sweep_writes(field, value):
+    fields = {"trial": 0, "trial_seed": 1, "balanced_accuracy": 0.5, "f1": 1, "fingerprint": "x"}
+    TrialRecord(**fields)  # an int metric in [0, 1] is a number
+    with pytest.raises(ValueError, match=f"record field {field} cannot hold"):
+        TrialRecord(**{**fields, field: value})
 
 
 # --- the cell premise: each (F, N, trial) cell is a pure function of its coordinates ---
@@ -134,16 +146,16 @@ def test_a_cell_computed_in_a_spawned_worker_is_the_in_process_cell():
 def test_reference_trial_selection():
     sr = _fake_sweep({(5, 200, "m"): [0.5, 0.6, 0.7]}, trials=3)
     refs = select_reference_trials(sr, "m")[ConfigPoint(5, 200)]
-    assert (refs.closest_to_mean, refs.closest_to_min, refs.closest_to_max) == (1, 0, 2)
+    assert (refs.closest_to_min, refs.closest_to_max) == (0, 2)
 
 
 def test_reference_selection_single_trial_and_ties():
     sr = _fake_sweep({(5, 200, "m"): [0.4]}, trials=1)
     refs = select_reference_trials(sr, "m")[ConfigPoint(5, 200)]
-    assert (refs.closest_to_mean, refs.closest_to_min, refs.closest_to_max) == (0, 0, 0)
-    tied = _fake_sweep({(5, 200, "m"): [0.5, 0.7]}, trials=2)
+    assert (refs.closest_to_min, refs.closest_to_max) == (0, 0)
+    tied = _fake_sweep({(5, 200, "m"): [0.7, 0.5, 0.7, 0.5]}, trials=4)
     refs = select_reference_trials(tied, "m")[ConfigPoint(5, 200)]
-    assert refs.closest_to_mean == 0  # equidistant from the mean -> lowest index
+    assert (refs.closest_to_min, refs.closest_to_max) == (1, 0)  # tied -> lowest index
     with pytest.raises(ValueError):
         select_reference_trials(sr, "missing")
 
@@ -156,9 +168,7 @@ def test_reference_trials_are_the_nearest_trials_with_the_lowest_index(bas):
 
     sr = _fake_sweep({(5, 200, "m"): bas}, trials=len(bas))
     refs = select_reference_trials(sr, "m")[ConfigPoint(5, 200)]
-    mean, _ = mean_std(bas)
-    assert (refs.closest_to_mean, refs.closest_to_min, refs.closest_to_max) == (
-        nearest(mean), nearest(min(bas)), nearest(max(bas)))
+    assert (refs.closest_to_min, refs.closest_to_max) == (nearest(min(bas)), nearest(max(bas)))
 
 
 def test_eqa_difference():
