@@ -178,12 +178,6 @@ def ingest(index_csv, gold_csv) -> RawSeries:
 # --- labeled dataset -----------------------------------------------------------
 
 @dataclass(eq=False)
-class ScaleParams:
-    mins: np.ndarray
-    maxs: np.ndarray
-
-
-@dataclass(eq=False)
 class Dataset:
     feature_names: tuple[str, ...]
     ids: tuple[str, ...]
@@ -212,7 +206,7 @@ DEFAULT_SPLIT_RATIO = 0.7  # share of a subset's rows that train
 _SYNTHETIC_START = date(2018, 1, 2)  # first date of both generators' calendars
 
 # Unlagged close-derived columns determine the label; selecting them leaks it.
-_LEAKY_COLUMNS = ("price", "index_change")
+_LEAKY_COLUMNS = ("price", "change_pct", "index_change")
 
 
 def derived_columns(series: RawSeries) -> dict[str, np.ndarray]:
@@ -265,29 +259,21 @@ def label_direction(series: RawSeries,
 
 # --- feature scaling -----------------------------------------------------------
 
-def fit_scale(train_x: np.ndarray) -> ScaleParams:
-    """Per-feature min/max from the training split only."""
-    train_x = np.atleast_2d(np.asarray(train_x, dtype=np.float64))
-    if train_x.shape[0] == 0:
-        raise ValueError("cannot fit scaling on an empty split")
-    return ScaleParams(train_x.min(axis=0), train_x.max(axis=0))
-
-
-def apply_scale(x: np.ndarray, params: ScaleParams) -> np.ndarray:
-    """Min-max map onto [0, pi]; constant features go to pi/2, out-of-range clamps."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    span = params.maxs - params.mins
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (x - params.mins) / safe * pi
-    scaled = np.where(span > 0, scaled, pi / 2)
-    return np.clip(scaled, 0.0, pi)
-
-
 def scale_split(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
-    """Fit on the training split, apply to both."""
-    params = fit_scale(train.X)
-    return (replace(train, X=apply_scale(train.X, params)),
-            replace(test, X=apply_scale(test.X, params)))
+    """Min-max map both splits onto [0, pi] with the training split's per-feature range.
+
+    A feature constant on the training split goes to pi/2; a test value outside the range clamps.
+    """
+    if len(train) == 0:
+        raise ValueError("cannot fit scaling on an empty split")
+    mins = train.X.min(axis=0)
+    span = train.X.max(axis=0) - mins
+    safe = np.where(span > 0, span, 1.0)
+
+    def scale(ds: Dataset) -> Dataset:
+        return replace(ds, X=np.clip(np.where(span > 0, (ds.X - mins) / safe * pi, pi / 2), 0.0, pi))
+
+    return scale(train), scale(test)
 
 
 # --- subset sampling -----------------------------------------------------------
@@ -474,9 +460,13 @@ def read_dataset(path) -> Dataset:
             raise ValueError("labels must be the integers -1 or +1")
         if {type(v) for row in features for v in row} - {int, float}:
             raise ValueError("features must be numbers")
+        ids = tuple(r["id"] for r in rows)
+        # ids label Gram rows and make up a trial's fingerprint
+        if {type(v) for v in ids} - {str} or len(set(ids)) != len(ids):
+            raise ValueError("row ids must be distinct strings")
         return Dataset(
             tuple(doc["feature_names"]),
-            tuple(r["id"] for r in rows),
+            ids,
             tuple(date.fromisoformat(r["date"]) for r in rows),
             np.array(features, dtype=np.float64),
             np.array(labels, dtype=np.int64),

@@ -70,6 +70,8 @@ class SweepResult:
         return tuple(self.kernels)
 
     def records(self, config: ConfigPoint, kernel: str) -> list[TrialRecord]:
+        if kernel not in self.kernels:
+            raise ValueError(f"kernel {kernel!r} not present in the sweep")
         return self.cells[(config.features, config.size, kernel)]
 
     def metric_values(self, config: ConfigPoint, kernel: str,
@@ -120,9 +122,11 @@ def evaluate_kernels_on_subset(train_ds: Dataset, test_ds: Dataset, kernels: dic
 
 
 def _unique_grid(configs) -> tuple[ConfigPoint, ...]:
-    """The grid points, each (F, N) listed once: a repeated one would hold two trials per index."""
+    """The grid points, at least one, each (F, N) once: a repeated one would hold two trials per index."""
     configs = tuple(ConfigPoint(c.features, c.size) if isinstance(c, ConfigPoint) else ConfigPoint(*c)
                     for c in configs)
+    if not configs:
+        raise ValueError("a grid needs at least one point")
     repeated = sorted({(c.features, c.size) for c in configs if configs.count(c) > 1})
     if repeated:
         raise ValueError(f"grid points (F, N) must be unique; repeated: {repeated}")
@@ -165,24 +169,13 @@ def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
                        cells)
 
 
-@dataclass(frozen=True)
-class ReferenceTrials:
-    closest_to_min: int
-    closest_to_max: int
-
-
-def select_reference_trials(sr: SweepResult, baseline: str) -> dict[ConfigPoint, ReferenceTrials]:
-    """Trial indices where the baseline's BA is lowest and highest.
+def select_reference_trials(sr: SweepResult, baseline: str) -> dict[ConfigPoint, tuple[int, int]]:
+    """Per grid point, the (min, max) trial indices of the baseline's BA.
 
     Ties break toward the lowest trial index.
     """
-    if baseline not in sr.kernel_names:
-        raise ValueError(f"baseline kernel {baseline!r} not present in the sweep")
-    out: dict[ConfigPoint, ReferenceTrials] = {}
-    for cfg in sr.configs:
-        bas = sr.metric_values(cfg, baseline)
-        out[cfg] = ReferenceTrials(int(np.argmin(bas)), int(np.argmax(bas)))
-    return out
+    return {cfg: (int(np.argmin(bas)), int(np.argmax(bas)))
+            for cfg in sr.configs for bas in [sr.metric_values(cfg, baseline)]}
 
 
 def eqa_difference(sr: SweepResult, quantum: str, classical: str) -> dict[ConfigPoint, float]:
@@ -190,15 +183,8 @@ def eqa_difference(sr: SweepResult, quantum: str, classical: str) -> dict[Config
 
     Positive values sit above the zero-advantage line.
     """
-    for name in (quantum, classical):
-        if name not in sr.kernel_names:
-            raise ValueError(f"kernel {name!r} not present in the sweep")
-    out: dict[ConfigPoint, float] = {}
-    for cfg in sr.configs:
-        qm, _ = mean_std(sr.metric_values(cfg, quantum))
-        cm, _ = mean_std(sr.metric_values(cfg, classical))
-        out[cfg] = qm - cm
-    return out
+    return {cfg: mean_std(sr.metric_values(cfg, quantum))[0]
+            - mean_std(sr.metric_values(cfg, classical))[0] for cfg in sr.configs}
 
 
 @dataclass(eq=False)
@@ -210,36 +196,32 @@ class PTRIGrid:
 
 
 def ptri_scores(z: np.ndarray) -> np.ndarray:
-    """Root-sum-of-squared differences to the up-to-8 adjacent grid cells."""
+    """Root-sum-of-squared differences to the up-to-8 adjacent grid cells (Riley et al., 1999).
+
+    Every cell adds its neighbours' terms in the same (dr, dc) order, and ``float_power``
+    squares as a float64 scalar's ``** 2`` does, so each score has the bits of a per-cell loop.
+    """
     rows, cols = z.shape
-    scores = np.zeros_like(z)
-    for r in range(rows):
-        for c in range(cols):
-            acc = 0.0
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < rows and 0 <= cc < cols:
-                        acc += (z[rr, cc] - z[r, c]) ** 2
-            scores[r, c] = math.sqrt(acc)
-    return scores
+    acc = np.zeros(z.shape)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr or dc:  # the cells [r0:r1, c0:c1] whose (r + dr, c + dc) neighbour is on the grid
+                r0, r1, c0, c1 = max(-dr, 0), rows - max(dr, 0), max(-dc, 0), cols - max(dc, 0)
+                acc[r0:r1, c0:c1] += np.float_power(z[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
+                                                    - z[r0:r1, c0:c1], 2)
+    return np.sqrt(acc)
 
 
 def ptri(sr: SweepResult, methods: list[str], metric: str = METRICS[0],
          trial_selection: str = "all", baseline: str | None = None) -> PTRIGrid:
     """Ruggedness surfaces of each method's metric over the full config grid, in one grid.
 
-    ``trial_selection="all"`` averages every trial per cell;
-    ``"reference"`` averages the two trials where the baseline (default:
-    the method itself; refused with ``"all"``) was closest to its min and max.
+    ``trial_selection="all"`` averages every trial per cell; ``"reference"``
+    averages the distinct (min, max) trials of the baseline (default: the
+    method itself; refused with ``"all"``).
     """
     if not methods or len(set(methods)) != len(methods):
         raise ValueError(f"methods must be one or more distinct kernels, got {methods}")
-    for method in methods:
-        if method not in sr.kernel_names:
-            raise ValueError(f"kernel {method!r} not present in the sweep")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     feature_axis = tuple(sorted({c.features for c in sr.configs}))
@@ -256,20 +238,14 @@ def ptri(sr: SweepResult, methods: list[str], metric: str = METRICS[0],
     elif baseline is not None:
         raise ValueError("a baseline applies only to trial_selection 'reference' (--selection reference)")
 
-    grid = PTRIGrid(feature_axis, size_axis, {}, {})
-    for method in methods:
-        z = np.zeros((len(feature_axis), len(size_axis)))
-        for fi, f in enumerate(feature_axis):
-            for si, n in enumerate(size_axis):
-                cfg = ConfigPoint(f, n)
-                vals = sr.metric_values(cfg, method, metric)
-                if trial_selection == "reference":
-                    ref = refs[method][cfg]
-                    vals = [vals[t] for t in sorted({ref.closest_to_min, ref.closest_to_max})]
-                z[fi, si], _ = mean_std(vals)
-        grid.values[method] = z
-        grid.scores[method] = ptri_scores(z)
-    return grid
+    def mean(cfg: ConfigPoint, method: str) -> float:
+        vals = sr.metric_values(cfg, method, metric)
+        keep = sorted(set(refs[method][cfg])) if trial_selection == "reference" else range(len(vals))
+        return mean_std(vals[t] for t in keep)[0]
+
+    values = {m: np.array([[mean(ConfigPoint(f, n), m) for n in size_axis] for f in feature_axis])
+              for m in methods}
+    return PTRIGrid(feature_axis, size_axis, values, {m: ptri_scores(z) for m, z in values.items()})
 
 
 @dataclass(eq=False)
@@ -408,8 +384,15 @@ def result_table_rows(doc: dict, where="document") -> tuple[list[str], list[list
                     for c in doc["cells"] for r in c["records"]]
         elif kind == PTRI_FORMAT:
             header = ["method", "features", "size", "mean_metric", "score"]
+            shape = len(doc["feature_axis"]), len(doc["size_axis"])
             rows = []
             for method, surface in sorted(doc["surfaces"].items()):
+                for key in ("values", "scores"):  # bool is not a JSON number, as in TrialRecord
+                    grid = surface[key]
+                    if len(grid) != shape[0] or any(len(row) != shape[1] for row in grid) \
+                            or {type(v) for row in grid for v in row} - {int, float}:
+                        raise ValueError(f"surface {method} {key} is not a {shape[0]} x {shape[1]} "
+                                         "grid of numbers")
                 for fi, f in enumerate(doc["feature_axis"]):
                     for si, n in enumerate(doc["size_axis"]):
                         rows.append([method, f, n, repr(surface["values"][fi][si]),

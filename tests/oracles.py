@@ -4,13 +4,14 @@ These deliberately avoid the package's fast paths: the circuit oracle
 multiplies explicit 2^n x 2^n gate matrices, the kernel oracle computes one
 entry from its own circuits, and the QP oracle solves the SVM dual by
 projected gradient ascent.  Keep them simple and slow.  ``reference_smo`` is
-the plain SMO loop that ``qkslab.svm.train`` must reproduce bit for bit, and
+the plain SMO loop that ``qkslab.svm.train`` must reproduce bit for bit,
 ``rbf_squared_distances`` the difference-tensor expression whose bits the
-column-wise rbf distances must reproduce.
+column-wise rbf distances must reproduce, and ``reference_ptri_scores`` the
+per-cell loop whose bits the shifted-slice PTRI must reproduce.
 """
 import itertools
 import warnings
-from math import cos, sin
+from math import cos, sin, sqrt
 
 import numpy as np
 
@@ -81,6 +82,25 @@ def rbf_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of ``a`` and ``b`` from the full (n, m, F) difference
     tensor; ``qkslab.kernels._squared_distances`` must equal it bit for bit."""
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def reference_ptri_scores(z: np.ndarray) -> np.ndarray:
+    """PTRI written as a per-cell loop over the up-to-8 neighbours, squaring float64 scalars;
+    ``qkslab.experiment.ptri_scores`` must equal it bit for bit."""
+    rows, cols = z.shape
+    scores = np.zeros_like(z)
+    for r in range(rows):
+        for c in range(cols):
+            acc = 0.0
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    if dr == 0 and dc == 0:
+                        continue
+                    rr, cc = r + dr, c + dc
+                    if 0 <= rr < rows and 0 <= cc < cols:
+                        acc += (z[rr, cc] - z[r, c]) ** 2
+            scores[r, c] = sqrt(acc)
+    return scores
 
 
 def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int) -> Circuit:

@@ -341,6 +341,12 @@ def _cell(kernel: str, features: int = 2, trials=(0,), score=0.5) -> dict:
                          "fingerprint": "x"} for t in trials]}
 
 
+def _ptri_doc(values=((0.5,),), scores=((0.0,),)) -> dict:
+    return {"format": "qkslab-ptri", "version": "1.0", "metric": "f1", "trial_selection": "all",
+            "baseline": None, "feature_axis": [2], "size_axis": [30],
+            "surfaces": {"z": {"values": values, "scores": scores}}}
+
+
 def _dataset_doc(value, label=-1) -> dict:
     return {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"],
             "rows": [{"id": "a", "date": "2018-01-02", "features": [0.5], "label": 1},
@@ -358,6 +364,7 @@ def _dataset_doc(value, label=-1) -> dict:
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf"), _cell("rbf")]}),
     ("ptri", {**_SWEEP_DOC, "trials": 2, "cells": [_cell("rbf", trials=(0, 0))]}),
     ("ptri", {**_SWEEP_DOC, "trials": 2, "cells": [_cell("rbf", trials=(1, 0))]}),
+    ("ptri", {**_SWEEP_DOC, "configs": [], "cells": []}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score="0.5")]}),
@@ -366,6 +373,10 @@ def _dataset_doc(value, label=-1) -> dict:
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score="0.5")]}),
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=7.5)]}),
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=True)]}),
+    ("report", _ptri_doc(values=[["abc"]])),
+    ("report", _ptri_doc(scores=[[True]])),
+    ("report", _ptri_doc(values=[[0.5, 0.6]])),
+    ("report", _ptri_doc(scores=[[0.0], [0.0]])),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0", "x1"]}),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"],
                "rows": [{"id": "r1", "date": "2018-13-01", "features": [0.5], "label": 1}]}),
@@ -384,8 +395,11 @@ def _dataset_doc(value, label=-1) -> dict:
 ], ids=["sweep-without-kernels", "cell-without-records", "sweep-without-cells",
         "cell-of-unlisted-kernel", "kernel-listed-twice", "grid-point-listed-twice",
         "cell-off-the-grid", "cell-listed-twice", "trial-index-repeated", "trials-out-of-order",
+        "sweep-without-grid-points",
         "ptri-nan-score", "report-nan-score", "ptri-string-score", "ptri-score-above-one",
         "ptri-bool-score", "report-string-score", "report-score-above-one", "report-bool-score",
+        "report-surface-string-value", "report-surface-bool-score", "report-surface-row-too-long",
+        "report-surface-too-many-rows",
         "dataset-without-rows", "dataset-bad-date", "dataset-nan-feature", "dataset-inf-feature",
         "dataset-label-one-and-a-half", "dataset-label-minus-one-point-nine", "dataset-label-true",
         "dataset-feature-true",
@@ -401,6 +415,7 @@ def test_malformed_input_files_are_errors(tmp_path, capsys, command, doc):
     code, _, err = _run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert code == 1
     assert err.startswith(f"error: {path}: ") or err.startswith(f"error: malformed {path}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_ingest_csv_field_over_the_csv_limit_is_an_error(tmp_path, capsys):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from qkslab.data import (DEFAULT_FEATURES, Dataset, ParseError, RawSeries,
-                         SubsetSpec, apply_scale, fit_scale, ingest, label_direction,
-                         quantum_separable_dataset, read_dataset, sample_subset, scale_split,
-                         synthetic_dataset, synthetic_raw_series, write_dataset)
+                         SubsetSpec, ingest, label_direction, quantum_separable_dataset,
+                         read_dataset, sample_subset, scale_split, synthetic_dataset,
+                         synthetic_raw_series, write_dataset)
 from qkslab.documents import write_json
 
 from synthetic_csvs import write_synthetic_csvs
@@ -165,6 +165,17 @@ def test_dataset_files_with_non_finite_features_are_refused(tmp_path, token, err
         read_dataset(path)
 
 
+@pytest.mark.parametrize("second_id", ["5", '"a"'], ids=["integer-id", "repeated-id"])
+def test_dataset_files_with_bad_row_ids_are_refused(tmp_path, second_id):
+    path = tmp_path / "ds.json"
+    path.write_text('{"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"], '
+                    '"rows": [{"id": "a", "date": "2018-01-02", "features": [0.5], "label": 1}, '
+                    f'{{"id": {second_id}, "date": "2018-01-03", "features": [1.5], "label": -1}}]}}')
+    error = f"malformed {path}: row ids must be distinct strings"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        read_dataset(path)
+
+
 def test_files_are_strict_json(tmp_path):
     path = tmp_path / "doc.json"
     write_json({"format": "x", "value": 1.5}, path)
@@ -222,6 +233,13 @@ def test_unlagged_close_columns_warn():
         label_direction(series, feature_columns=("index_change",))
 
 
+def test_raw_change_pct_leaks_the_label_and_warns():
+    with pytest.warns(RuntimeWarning, match=r"\['change_pct'\] reveal"):
+        ds = synthetic_dataset(11, days=200, feature_columns=("change_pct",))
+    assert len(ds) == 199
+    np.testing.assert_array_equal(np.where(ds.X[:, 0] > 0, 1, -1), ds.y)
+
+
 def test_lagged_index_change_uses_previous_row():
     series = _series([100.0, 101.0, 99.0], change_pct=[0.1, 1.0, -1.98])
     ds = label_direction(series, feature_columns=("index_change_lag1",))
@@ -257,26 +275,37 @@ def test_unknown_feature_column_errors():
 
 # --- scaling ---
 
+def _column(*values) -> Dataset:
+    """A one-feature split holding ``values``, labelled +1, -1, +1, ..."""
+    n = len(values)
+    return Dataset(("x0",), tuple(f"r{i}" for i in range(n)), (date(2018, 1, 2),) * n,
+                   np.array(values, dtype=np.float64).reshape(n, 1), np.resize([1, -1], n))
+
+
 def test_min_max_scaling_examples():
-    params = fit_scale(np.array([[2.0], [4.0], [6.0]]))
-    np.testing.assert_allclose(apply_scale(np.array([[2.0], [4.0], [6.0]]), params).ravel(),
-                               [0.0, pi / 2, pi])
-    const = fit_scale(np.array([[5.0], [5.0], [5.0]]))
-    np.testing.assert_allclose(apply_scale(np.array([[5.0]]), const).ravel(), [pi / 2])
-    np.testing.assert_allclose(apply_scale(np.array([[0.0], [99.0]]), params).ravel(), [0.0, pi])
+    train, test = scale_split(_column(2.0, 4.0, 6.0), _column(0.0, 99.0))
+    np.testing.assert_allclose(train.X.ravel(), [0.0, pi / 2, pi])
+    np.testing.assert_allclose(test.X.ravel(), [0.0, pi])  # out-of-range test values clamp
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a one-row split holds one label class
+        const, probe = scale_split(_column(5.0, 5.0, 5.0), _column(5.0))
+    np.testing.assert_allclose(const.X.ravel(), [pi / 2] * 3)  # a constant feature maps to pi/2
+    np.testing.assert_allclose(probe.X.ravel(), [pi / 2])
 
 
-def test_fit_scale_requires_rows():
-    with pytest.raises(ValueError):
-        fit_scale(np.empty((0, 2)))
+def test_scale_split_refuses_an_empty_training_split():
+    with pytest.raises(ValueError, match="empty split"):
+        scale_split(_column(), _column(1.0, 2.0))
 
 
 def test_scaling_never_sees_the_test_split():
-    rng = np.random.default_rng(4)
     ds = synthetic_dataset(1, days=80)
     train, test = sample_subset(ds, SubsetSpec(60, 4, 99))
     strain, stest = scale_split(train, test)
-    np.testing.assert_array_equal(stest.X, apply_scale(test.X, fit_scale(train.X)))
+    lo, hi = train.X.min(axis=0), train.X.max(axis=0)
+    np.testing.assert_array_equal(stest.X, np.clip((test.X - lo) / (hi - lo) * pi, 0.0, pi))
+    other, _ = scale_split(train, sample_subset(ds, SubsetSpec(60, 4, 5))[1])
+    np.testing.assert_array_equal(strain.X, other.X)  # the training split alone sets the range
     assert strain.X.min() >= 0.0 and strain.X.max() <= pi
     assert stest.X.min() >= 0.0 and stest.X.max() <= pi  # clamped
     assert strain.X.max() == pytest.approx(pi)

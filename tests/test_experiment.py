@@ -5,7 +5,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkslab.data import quantum_separable_dataset, synthetic_dataset
@@ -17,6 +17,8 @@ from qkslab.experiment import (ConfigPoint, SweepResult, TrialRecord, cell,
 from qkslab.documents import read_json, write_json
 from qkslab.feature_maps import PRESETS
 from qkslab.kernels import quantum_config, rbf_config
+
+from oracles import reference_ptri_scores
 
 
 def _fake_sweep(cell_bas: dict, trials: int = 1, kernels=("m",)) -> SweepResult:
@@ -145,18 +147,15 @@ def test_a_cell_computed_in_a_spawned_worker_is_the_in_process_cell():
 
 def test_reference_trial_selection():
     sr = _fake_sweep({(5, 200, "m"): [0.5, 0.6, 0.7]}, trials=3)
-    refs = select_reference_trials(sr, "m")[ConfigPoint(5, 200)]
-    assert (refs.closest_to_min, refs.closest_to_max) == (0, 2)
+    assert select_reference_trials(sr, "m") == {ConfigPoint(5, 200): (0, 2)}
 
 
 def test_reference_selection_single_trial_and_ties():
     sr = _fake_sweep({(5, 200, "m"): [0.4]}, trials=1)
-    refs = select_reference_trials(sr, "m")[ConfigPoint(5, 200)]
-    assert (refs.closest_to_min, refs.closest_to_max) == (0, 0)
+    assert select_reference_trials(sr, "m")[ConfigPoint(5, 200)] == (0, 0)
     tied = _fake_sweep({(5, 200, "m"): [0.7, 0.5, 0.7, 0.5]}, trials=4)
-    refs = select_reference_trials(tied, "m")[ConfigPoint(5, 200)]
-    assert (refs.closest_to_min, refs.closest_to_max) == (1, 0)  # tied -> lowest index
-    with pytest.raises(ValueError):
+    assert select_reference_trials(tied, "m")[ConfigPoint(5, 200)] == (1, 0)  # tied -> lowest index
+    with pytest.raises(ValueError, match="^kernel 'missing' not present in the sweep$"):
         select_reference_trials(sr, "missing")
 
 
@@ -168,7 +167,7 @@ def test_reference_trials_are_the_nearest_trials_with_the_lowest_index(bas):
 
     sr = _fake_sweep({(5, 200, "m"): bas}, trials=len(bas))
     refs = select_reference_trials(sr, "m")[ConfigPoint(5, 200)]
-    assert (refs.closest_to_min, refs.closest_to_max) == (nearest(min(bas)), nearest(max(bas)))
+    assert refs == (nearest(min(bas)), nearest(max(bas)))
 
 
 def test_eqa_difference():
@@ -178,6 +177,21 @@ def test_eqa_difference():
     assert eqa_difference(sr, "q", "q")[ConfigPoint(5, 200)] == 0.0
     with pytest.raises(ValueError):
         eqa_difference(sr, "q", "nope")
+
+
+def test_an_unknown_kernel_is_refused_by_the_sweep_with_one_message():
+    sr = _fake_sweep({(5, 200, "m"): [0.5]})
+    for refused in (lambda: sr.records(ConfigPoint(5, 200), "x"),
+                    lambda: select_reference_trials(sr, "x"), lambda: eqa_difference(sr, "m", "x"),
+                    lambda: ptri(sr, ["m", "x"]),
+                    lambda: ptri(sr, ["m"], trial_selection="reference", baseline="x")):
+        with pytest.raises(ValueError, match="^kernel 'x' not present in the sweep$"):
+            refused()
+
+
+def test_a_sweep_needs_a_grid_point():
+    with pytest.raises(ValueError, match="at least one point"):
+        run_sweep(synthetic_dataset(1, days=80), [], [rbf_config()], trials=1, master_seed=5)
 
 
 # --- PTRI ---
@@ -212,6 +226,39 @@ def test_ptri_shift_and_scale_behaviour():
         base = ptri_scores(z)
         np.testing.assert_allclose(ptri_scores(z + 0.37), base, atol=1e-12)
         np.testing.assert_allclose(ptri_scores(z * 2.5), base * 2.5, atol=1e-12)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), seed=st.integers(0, 2**32 - 1))
+@example(shape=(1, 1), seed=0)
+@example(shape=(1, 7), seed=0)
+@example(shape=(6, 1), seed=0)
+def test_ptri_scores_are_the_loop_oracle_bit_for_bit(shape, seed):
+    # numpy draws full-precision values: an array ``** 2`` (a multiply) moves a bit in a few
+    # hundred grids of these, which hypothesis's own simple floats rarely show
+    z = np.random.default_rng(seed).uniform(0, 1, size=shape)
+    assert np.array_equal(ptri_scores(z), reference_ptri_scores(z))
+
+
+def test_ptri_reference_surfaces_with_a_baseline_are_the_oracle_surfaces():
+    feature_axis, size_axis, trials = (5, 6, 7), (200, 250, 300, 350), 4
+    rng = np.random.default_rng(8)
+    cells = {(f, n, k): [TrialRecord(t, t, *(float(v) for v in rng.uniform(0, 1, 2).round(1)), "fp")
+                         for t in range(trials)]
+             for f in feature_axis for n in size_axis for k in ("q", "c")}
+    configs = tuple(ConfigPoint(f, n) for f in feature_axis for n in size_axis)
+    sr = SweepResult(configs, {"q": {}, "c": {}}, trials, 0, 0.7, 1.0, 1e-3, cells)
+    grid = ptri(sr, ["q", "c"], "f1", "reference", "c")
+    for method in ("q", "c"):
+        expected = np.zeros((len(feature_axis), len(size_axis)))
+        for fi, f in enumerate(feature_axis):
+            for si, n in enumerate(size_axis):
+                base = [r.balanced_accuracy for r in cells[(f, n, "c")]]  # first index on ties
+                picked = [cells[(f, n, method)][t].f1
+                          for t in sorted({base.index(min(base)), base.index(max(base))})]
+                expected[fi, si] = sum(picked) / len(picked)
+        assert np.array_equal(grid.values[method], expected)
+        assert np.array_equal(grid.scores[method], reference_ptri_scores(expected))
 
 
 def test_ptri_requires_full_grid():
