@@ -19,4 +19,4 @@ from .experiment import (ConfigPoint, PTRIGrid, SweepResult, VariabilityResult,
                          variability_study)
 from .resources import ResourceEstimate, estimate, verify_against_circuit
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -21,8 +21,8 @@ from .data import (DEFAULT_DAYS, DEFAULT_FEATURES, DEFAULT_SPLIT_RATIO, ingest, 
                    read_dataset, synthetic_dataset, write_dataset)
 from .documents import check_format, read_json, write_csv, write_json
 from .experiment import (ConfigPoint, DEFAULT_BINS, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES,
-                         ExperimentError, METRICS, RESULT_FORMATS, ptri, ptri_to_doc,
-                         result_table_rows, run_sweep, sweep_from_doc, sweep_to_doc, trial,
+                         ExperimentError, METRICS, RESULT_VERSION, SWEEP_FORMAT, ptri,
+                         ptri_to_doc, run_sweep, sweep_from_doc, sweep_to_doc, trial,
                          variability_study, variability_to_doc, write_table)
 from .feature_maps import DEFAULT_REPETITIONS, PRESETS
 from .kernels import SHOT_CAP, gram_matrix, quantum_config, rbf_config, write_gram
@@ -93,7 +93,7 @@ def _kernels(args, names) -> list:
 def _check_paths(args) -> None:
     """Refuse a command line that would write a file over one of its inputs or other outputs."""
     out = getattr(args, "out", None)
-    inputs = (getattr(args, k, None) for k in ("dataset", "sweep", "input", "index", "gold"))
+    inputs = (getattr(args, k, None) for k in ("dataset", "sweep", "index", "gold"))
     seen = {Path(p).resolve() for p in inputs if p}
     for path in filter(None, (out, getattr(args, "table", None), out and out + ".manifest.json")):
         if Path(path).resolve() in seen:
@@ -176,7 +176,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ptri(args) -> int:
-    sr = sweep_from_doc(read_json(args.sweep, RESULT_FORMATS), args.sweep)
+    sr = sweep_from_doc(read_json(args.sweep, {SWEEP_FORMAT: RESULT_VERSION}), args.sweep)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     grid = ptri(sr, methods, args.metric, args.selection, args.baseline)
     _write_result(args, ptri_to_doc(grid, args.metric, args.selection, args.baseline),
@@ -209,15 +209,6 @@ def cmd_resources(args) -> int:
         _write_manifest(args, [], [args.out])
     if not all(row[-1] for row in rows):
         raise CliError("formula/circuit mismatch in resource verification")
-    return 0
-
-
-def cmd_report(args) -> int:
-    doc = read_json(args.input, RESULT_FORMATS)
-    header, rows = result_table_rows(doc, args.input)
-    write_csv(args.out, header, rows)
-    _write_manifest(args, [args.input], [args.out])
-    print(f"kind={doc.get('format')} columns={len(header)} rows={len(rows)}")
     return 0
 
 
@@ -289,7 +280,7 @@ def _add_svm_flags(sub) -> None:
 
 def _add_result_flags(sub) -> None:
     sub.add_argument("--out", required=True)
-    sub.add_argument("--table", default=None, help="also write a flat CSV of the records")
+    sub.add_argument("--table", default=None, help="also write the result as a flat CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--reps", default="1,2,3")
     s.add_argument("--out", default=None, help="also write the table as CSV")
     s.set_defaults(func=cmd_resources)
-
-    s = subs.add_parser("report", help="flatten a result file into a plot-ready CSV")
-    s.add_argument("--input", required=True)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_report)
 
     s = subs.add_parser("replay", help="re-run a manifest and verify byte-identical outputs")
     s.add_argument("manifest")

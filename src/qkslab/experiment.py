@@ -290,7 +290,6 @@ SWEEP_FORMAT = "qkslab-sweep"
 PTRI_FORMAT = "qkslab-ptri"
 VARIABILITY_FORMAT = "qkslab-variability"
 RESULT_VERSION = "1.0"
-RESULT_FORMATS = dict.fromkeys((SWEEP_FORMAT, PTRI_FORMAT, VARIABILITY_FORMAT), RESULT_VERSION)
 RECORD_FIELDS = tuple(f.name for f in record_fields(TrialRecord))
 TABLE_FIELDS = tuple(name for name in RECORD_FIELDS if name != "fingerprint")  # CSV record columns
 
@@ -369,37 +368,23 @@ def variability_to_doc(vr: VariabilityResult) -> dict:
     }
 
 
-def result_table_rows(doc: dict, where="document") -> tuple[list[str], list[list]]:
-    """Flatten any result document into plot-ready tabular rows."""
-    kind = check_format(doc, RESULT_FORMATS, where)
-
+def result_table_rows(doc: dict) -> tuple[list[str], list[list]]:
+    """A result document qkslab built, flattened into plot-ready tabular rows."""
     def columns(r: dict) -> list:
-        r = vars(_record(r))  # the checked record's fields
         return [repr(r[name]) if name in METRICS else r[name] for name in TABLE_FIELDS]
 
-    with fields(where):
-        if kind == SWEEP_FORMAT:
-            header = ["features", "size", "kernel", *TABLE_FIELDS]
-            rows = [[c["features"], c["size"], c["kernel"], *columns(r)]
-                    for c in doc["cells"] for r in c["records"]]
-        elif kind == PTRI_FORMAT:
-            header = ["method", "features", "size", "mean_metric", "score"]
-            shape = len(doc["feature_axis"]), len(doc["size_axis"])
-            rows = []
-            for method, surface in sorted(doc["surfaces"].items()):
-                for key in ("values", "scores"):  # bool is not a JSON number, as in TrialRecord
-                    grid = surface[key]
-                    if len(grid) != shape[0] or any(len(row) != shape[1] for row in grid) \
-                            or {type(v) for row in grid for v in row} - {int, float}:
-                        raise ValueError(f"surface {method} {key} is not a {shape[0]} x {shape[1]} "
-                                         "grid of numbers")
-                for fi, f in enumerate(doc["feature_axis"]):
-                    for si, n in enumerate(doc["size_axis"]):
-                        rows.append([method, f, n, repr(surface["values"][fi][si]),
-                                     repr(surface["scores"][fi][si])])
-        else:
-            header = list(TABLE_FIELDS)
-            rows = [columns(r) for r in doc["records"]]
+    if doc["format"] == SWEEP_FORMAT:
+        header = ["features", "size", "kernel", *TABLE_FIELDS]
+        rows = [[c["features"], c["size"], c["kernel"], *columns(r)]
+                for c in doc["cells"] for r in c["records"]]
+    elif doc["format"] == PTRI_FORMAT:
+        header = ["method", "features", "size", "mean_metric", "score"]
+        rows = [[method, f, n, repr(surface["values"][fi][si]), repr(surface["scores"][fi][si])]
+                for method, surface in sorted(doc["surfaces"].items())
+                for fi, f in enumerate(doc["feature_axis"]) for si, n in enumerate(doc["size_axis"])]
+    else:
+        header = list(TABLE_FIELDS)
+        rows = [columns(r) for r in doc["records"]]
     return header, rows
 
 

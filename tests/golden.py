@@ -52,7 +52,6 @@ COMMAND_LINES = {
     "variability": "variability --dataset {d}/ds.json --size 30 --features 2 --trials 3 "
                    "--out {d}/out.json --table {d}/out.csv",
     "resources": "resources --features 2,3 --reps 1 --out {d}/out.csv",
-    "report": "report --input {d}/sweep.json --out {d}/out.csv",
 }
 
 

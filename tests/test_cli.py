@@ -152,17 +152,15 @@ def test_sweep_ptri_report_chain(dataset, tmp_path, capsys):
     assert len(doc["cells"]) == 8  # 4 configs x 2 kernels
     assert (tmp_path / "sweep.csv").exists()
 
-    ptri_path = tmp_path / "ptri.json"
+    ptri_path, table = tmp_path / "ptri.json", tmp_path / "ptri.csv"
     code, out, err = _run(["ptri", "--sweep", str(sweep_path), "--methods", "z,rbf",
-                           "--out", str(ptri_path)], capsys)
+                           "--out", str(ptri_path), "--table", str(table)], capsys)
     assert code == 0, err
     pdoc = json.loads(ptri_path.read_text())
     assert set(pdoc["surfaces"]) == {"z", "rbf"}
-
-    report_path = tmp_path / "flat.csv"
-    code, out, err = _run(["report", "--input", str(ptri_path), "--out", str(report_path)], capsys)
-    assert code == 0
-    assert report_path.read_text().startswith("method,features,size")
+    lines = table.read_text().splitlines()
+    assert lines[0] == "method,features,size,mean_metric,score"
+    assert len(lines) == 1 + 2 * 4  # one row per (method, grid point)
 
 
 def test_ptri_flat_surface_is_zero(tmp_path, capsys):
@@ -291,15 +289,13 @@ def test_trial_record_and_metrics_are_the_schema_of_every_result_file(dataset, t
     for r in records:
         r["smo_iterations"] = 7
     (tmp_path / "extended.json").write_text(json.dumps(docs["sweep"]))
-    written = {"sweep": [], "extended": []}
-    for sweep, outputs in written.items():
-        path = f"{tmp_path}/{sweep}.json"
-        for argv in (["ptri", "--sweep", path, "--methods", "z,rbf", "--metric", METRICS[-1]],
-                     ["report", "--input", path]):
-            out = tmp_path / f"{sweep}.{argv[0]}"
-            code, _, err = _run([*argv, "--out", str(out)], capsys)
-            assert code == 0, err
-            outputs.append(out.read_bytes())
+    written = {}
+    for sweep in ("sweep", "extended"):
+        out = tmp_path / f"{sweep}.ptri"
+        code, _, err = _run(["ptri", "--sweep", f"{tmp_path}/{sweep}.json", "--methods", "z,rbf",
+                             "--metric", METRICS[-1], "--out", str(out)], capsys)
+        assert code == 0, err
+        written[sweep] = out.read_bytes()
     assert written["extended"] == written["sweep"]
 
 
@@ -322,11 +318,10 @@ def test_schema_version_rejection(tmp_path, capsys):
                                "kernels": [], "configs": [], "trials": 1,
                                "master_seed": 0, "split_ratio": 0.7,
                                "svm": {"C": 1.0, "tol": 0.001}}))
-    for argv in (["ptri", "--sweep", str(bad), "--methods", "rbf"],
-                 ["report", "--input", str(bad)]):
-        code, _, err = _run(argv + ["--out", str(tmp_path / "p.json")], capsys)
-        assert code != 0
-        assert "version" in err
+    code, _, err = _run(["ptri", "--sweep", str(bad), "--methods", "rbf",
+                         "--out", str(tmp_path / "p.json")], capsys)
+    assert code != 0
+    assert "version" in err
 
 
 _SWEEP_DOC = {"format": "qkslab-sweep", "version": "1.0", "master_seed": 0, "trials": 1,
@@ -341,10 +336,13 @@ def _cell(kernel: str, features: int = 2, trials=(0,), score=0.5) -> dict:
                          "fingerprint": "x"} for t in trials]}
 
 
-def _ptri_doc(values=((0.5,),), scores=((0.0,),)) -> dict:
-    return {"format": "qkslab-ptri", "version": "1.0", "metric": "f1", "trial_selection": "all",
-            "baseline": None, "feature_axis": [2], "size_axis": [30],
-            "surfaces": {"z": {"values": values, "scores": scores}}}
+_PTRI_DOC = {"format": "qkslab-ptri", "version": "1.0", "metric": "f1", "trial_selection": "all",
+             "baseline": None, "feature_axis": [2], "size_axis": [30],
+             "surfaces": {"rbf": {"values": [[0.5]], "scores": [[0.0]]}}}
+_VARIABILITY_DOC = {"format": "qkslab-variability", "version": "1.0", "features": 2, "size": 30,
+                    "kernel": "rbf", "trials": 1, "master_seed": 0,
+                    "records": _cell("rbf")["records"], "mean": 0.5, "std": 0.0,
+                    "histogram": {"bin_edges": [0.495, 0.505], "counts": [1]}}
 
 
 def _dataset_doc(value, label=-1) -> dict:
@@ -373,10 +371,8 @@ def _dataset_doc(value, label=-1) -> dict:
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score="0.5")]}),
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=7.5)]}),
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=True)]}),
-    ("report", _ptri_doc(values=[["abc"]])),
-    ("report", _ptri_doc(scores=[[True]])),
-    ("report", _ptri_doc(values=[[0.5, 0.6]])),
-    ("report", _ptri_doc(scores=[[0.0], [0.0]])),
+    ("ptri", _PTRI_DOC),
+    ("ptri", _VARIABILITY_DOC),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0", "x1"]}),
     ("sweep", {"format": "qkslab-dataset", "version": "1.0", "feature_names": ["x0"],
                "rows": [{"id": "r1", "date": "2018-13-01", "features": [0.5], "label": 1}]}),
@@ -398,8 +394,7 @@ def _dataset_doc(value, label=-1) -> dict:
         "sweep-without-grid-points",
         "ptri-nan-score", "report-nan-score", "ptri-string-score", "ptri-score-above-one",
         "ptri-bool-score", "report-string-score", "report-score-above-one", "report-bool-score",
-        "report-surface-string-value", "report-surface-bool-score", "report-surface-row-too-long",
-        "report-surface-too-many-rows",
+        "ptri-on-a-ptri-file", "ptri-on-a-variability-file",
         "dataset-without-rows", "dataset-bad-date", "dataset-nan-feature", "dataset-inf-feature",
         "dataset-label-one-and-a-half", "dataset-label-minus-one-point-nine", "dataset-label-true",
         "dataset-feature-true",
@@ -408,14 +403,19 @@ def _dataset_doc(value, label=-1) -> dict:
 def test_malformed_input_files_are_errors(tmp_path, capsys, command, doc):
     path = tmp_path / "in.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    table = tmp_path / "table.csv"
+    # "report" is the CSV report of a sweep file, which `--table` writes: it must write no table
     argv = {"ptri": ["ptri", "--sweep", str(path), "--methods", "rbf"],
-            "report": ["report", "--input", str(path)],
+            "report": ["ptri", "--sweep", str(path), "--methods", "rbf", "--table", str(table)],
             "sweep": ["sweep", "--dataset", str(path), "--sizes", "30", "--features", "2",
                       "--kernels", "rbf", "--trials", "1"]}[command]
     code, _, err = _run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert code == 1
     assert err.startswith(f"error: {path}: ") or err.startswith(f"error: malformed {path}: ")
+    if doc in (_PTRI_DOC, _VARIABILITY_DOC):  # files qkslab writes but never reads back
+        assert err == f"error: {path}: not a qkslab-sweep document\n"
     assert not (tmp_path / "out").exists()
+    assert not table.exists()
 
 
 def test_ingest_csv_field_over_the_csv_limit_is_an_error(tmp_path, capsys):
@@ -609,9 +609,9 @@ def test_no_psd_clip_keeps_the_sampled_train_gram(dataset, tmp_path, capsys):
     "sweep --dataset {ds} --out {ds}",
     "kernel --dataset {ds} --map z --features 2 --size 20 --out {ds}",
     "kernel --dataset {ds} --map z --features 2 --size 20 --out {d}/../{d.name}/ds.json",
-    "report --input {d}/x --out {d}/x",
+    "ptri --sweep {d}/x --out {d}/p.json --table {d}/x",
 ], ids=["sweep-out-is-table", "sweep-table-is-manifest", "sweep-out-is-dataset",
-        "kernel-out-is-dataset", "kernel-out-is-dataset-by-another-path", "report-out-is-input"])
+        "kernel-out-is-dataset", "kernel-out-is-dataset-by-another-path", "ptri-table-is-sweep"])
 def test_command_lines_whose_files_collide_are_errors(dataset, tmp_path, capsys, files):
     (tmp_path / "x").write_text("{}")
     before = {p: p.read_bytes() for p in tmp_path.iterdir()}

@@ -361,5 +361,3 @@ def test_result_tables(tmp_path):
     vr = variability_study(ds, ConfigPoint(2, 30), rbf_config(), trials=3, master_seed=2)
     header, rows = result_table_rows(variability_to_doc(vr))
     assert len(rows) == 3
-    with pytest.raises(ValueError):
-        result_table_rows({"format": "unknown"})
