@@ -22,8 +22,8 @@ from .data import (DEFAULT_DAYS, DEFAULT_FEATURES, DEFAULT_SPLIT_RATIO, ingest, 
 from .documents import check_format, read_json, write_csv, write_json
 from .experiment import (ConfigPoint, DEFAULT_BINS, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES,
                          ExperimentError, METRICS, RESULT_VERSION, SWEEP_FORMAT, ptri,
-                         ptri_to_doc, run_sweep, sweep_from_doc, sweep_to_doc, trial,
-                         variability_study, variability_to_doc, write_table)
+                         run_sweep, sweep_from_doc, sweep_to_doc, trial, variability_study,
+                         write_table)
 from .feature_maps import DEFAULT_REPETITIONS, PRESETS
 from .kernels import SHOT_CAP, gram_matrix, quantum_config, rbf_config, write_gram
 from .resources import TABLE_HEADER, verification_table
@@ -178,21 +178,20 @@ def cmd_sweep(args) -> int:
 def cmd_ptri(args) -> int:
     sr = sweep_from_doc(read_json(args.sweep, {SWEEP_FORMAT: RESULT_VERSION}), args.sweep)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    grid = ptri(sr, methods, args.metric, args.selection, args.baseline)
-    _write_result(args, ptri_to_doc(grid, args.metric, args.selection, args.baseline),
-                  [args.sweep])
+    doc = ptri(sr, methods, args.metric, args.selection, args.baseline)
+    _write_result(args, doc, [args.sweep])
     for method in methods:
-        print(f"{method}: max_score={grid.scores[method].max():.6f}")
+        print(f"{method}: max_score={max(map(max, doc['surfaces'][method]['scores'])):.6f}")
     return 0
 
 
 def cmd_variability(args) -> int:
     ds = read_dataset(args.dataset)
-    vr = variability_study(ds, ConfigPoint(args.features, args.size),
-                           _kernels(args, [args.kernel])[0], args.trials,
-                           args.seed, args.split_ratio, args.c, args.tol, args.bins)
-    _write_result(args, variability_to_doc(vr), [args.dataset])
-    print(f"trials={vr.trials} mean={vr.mean:.6f} std={vr.std:.6f}")
+    doc = variability_study(ds, ConfigPoint(args.features, args.size),
+                            _kernels(args, [args.kernel])[0], args.trials,
+                            args.seed, args.split_ratio, args.c, args.tol, args.bins)
+    _write_result(args, doc, [args.dataset])
+    print(f"trials={doc['trials']} mean={doc['mean']:.6f} std={doc['std']:.6f}")
     return 0
 
 

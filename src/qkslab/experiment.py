@@ -5,6 +5,8 @@ and trial it draws one stratified subset and evaluates every kernel on
 that same subset (paired design), so kernel comparisons are same-data by
 construction.  Trial seeds derive from mix64(master_seed, F, N, trial),
 which makes the whole sweep a pure function of its arguments.
+A sweep is a ``SweepResult`` (``sweep_to_doc``, ``sweep_from_doc``); ``ptri`` and
+``variability_study`` return their documents, the only form of a file never read back.
 """
 from __future__ import annotations
 
@@ -25,6 +27,10 @@ DEFAULT_SIZES = (200, 250, 300, 350, 400)
 DEFAULT_FEATURE_COUNTS = (5, 6, 7)
 DEFAULT_BINS = 20  # variability histogram bins
 METRICS = ("balanced_accuracy", "f1")  # what a trial scores, in evaluate_kernels_on_subset's order
+SWEEP_FORMAT = "qkslab-sweep"
+PTRI_FORMAT = "qkslab-ptri"
+VARIABILITY_FORMAT = "qkslab-variability"
+RESULT_VERSION = "1.0"
 
 
 class ExperimentError(RuntimeError):
@@ -121,10 +127,19 @@ def evaluate_kernels_on_subset(train_ds: Dataset, test_ds: Dataset, kernels: dic
     return out
 
 
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:  # JSON's true is an int
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _unique_grid(configs) -> tuple[ConfigPoint, ...]:
     """The grid points, at least one, each (F, N) once: a repeated one would hold two trials per index."""
     configs = tuple(ConfigPoint(c.features, c.size) if isinstance(c, ConfigPoint) else ConfigPoint(*c)
                     for c in configs)
+    for c in configs:
+        _count("F", c.features)
+        _count("N", c.size)
     if not configs:
         raise ValueError("a grid needs at least one point")
     repeated = sorted({(c.features, c.size) for c in configs if configs.count(c) > 1})
@@ -153,8 +168,7 @@ def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
               split_ratio: float = DEFAULT_SPLIT_RATIO, svm_c: float = DEFAULT_C,
               svm_tol: float = DEFAULT_TOL) -> SweepResult:
     """Every kernel at every (config, trial) on shared subsets: each ``cell``, in grid order."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _count("trials", trials)
     configs = _unique_grid(configs)
     kernel_docs = {k.name: config_to_doc(k) for k in kernels}
     if len(kernel_docs) != len(kernels):
@@ -187,14 +201,6 @@ def eqa_difference(sr: SweepResult, quantum: str, classical: str) -> dict[Config
             - mean_std(sr.metric_values(cfg, classical))[0] for cfg in sr.configs}
 
 
-@dataclass(eq=False)
-class PTRIGrid:
-    feature_axis: tuple[int, ...]
-    size_axis: tuple[int, ...]
-    values: dict[str, np.ndarray]  # metric surface per method
-    scores: dict[str, np.ndarray]  # ruggedness surface per method
-
-
 def ptri_scores(z: np.ndarray) -> np.ndarray:
     """Root-sum-of-squared differences to the up-to-8 adjacent grid cells (Riley et al., 1999).
 
@@ -213,8 +219,8 @@ def ptri_scores(z: np.ndarray) -> np.ndarray:
 
 
 def ptri(sr: SweepResult, methods: list[str], metric: str = METRICS[0],
-         trial_selection: str = "all", baseline: str | None = None) -> PTRIGrid:
-    """Ruggedness surfaces of each method's metric over the full config grid, in one grid.
+         trial_selection: str = "all", baseline: str | None = None) -> dict:
+    """The ``qkslab-ptri`` document: each method's metric surface over the grid and its ruggedness.
 
     ``trial_selection="all"`` averages every trial per cell; ``"reference"``
     averages the distinct (min, max) trials of the baseline (default: the
@@ -243,35 +249,27 @@ def ptri(sr: SweepResult, methods: list[str], metric: str = METRICS[0],
         keep = sorted(set(refs[method][cfg])) if trial_selection == "reference" else range(len(vals))
         return mean_std(vals[t] for t in keep)[0]
 
-    values = {m: np.array([[mean(ConfigPoint(f, n), m) for n in size_axis] for f in feature_axis])
-              for m in methods}
-    return PTRIGrid(feature_axis, size_axis, values, {m: ptri_scores(z) for m, z in values.items()})
-
-
-@dataclass(eq=False)
-class VariabilityResult:
-    features: int
-    size: int
-    kernel_name: str
-    trials: int
-    master_seed: int
-    records: list[TrialRecord]
-    mean: float
-    std: float
-    bin_edges: np.ndarray
-    bin_counts: np.ndarray
+    surfaces = {}
+    for m in methods:
+        z = np.array([[mean(ConfigPoint(f, n), m) for n in size_axis] for f in feature_axis])
+        surfaces[m] = {"values": z.tolist(), "scores": ptri_scores(z).tolist()}
+    return {"format": PTRI_FORMAT, "version": RESULT_VERSION, "metric": metric,
+            "trial_selection": trial_selection, "baseline": baseline,
+            "feature_axis": list(feature_axis), "size_axis": list(size_axis), "surfaces": surfaces}
 
 
 def variability_study(ds: Dataset, config: ConfigPoint, kernel: KernelConfig, trials: int,
                       master_seed: int, split_ratio: float = DEFAULT_SPLIT_RATIO,
                       svm_c: float = DEFAULT_C, svm_tol: float = DEFAULT_TOL,
-                      bins: int = DEFAULT_BINS) -> VariabilityResult:
-    """Repeat subset-train-test cycles and summarize the BA distribution.
+                      bins: int = DEFAULT_BINS) -> dict:
+    """The ``qkslab-variability`` document: repeated subset-train-test cycles and their BA spread.
 
     The trials are those of a one-point, one-kernel ``run_sweep``.
     """
     if trials < 2:
         raise ValueError("variability needs at least two trials")
+    if bins < 1:
+        raise ValueError(f"variability needs at least one histogram bin, got {bins}")
     records = run_sweep(ds, [config], [kernel], trials, master_seed, split_ratio, svm_c,
                         svm_tol).records(config, kernel.name)
     bas = [r.balanced_accuracy for r in records]
@@ -280,23 +278,17 @@ def variability_study(ds: Dataset, config: ConfigPoint, kernel: KernelConfig, tr
     if hi <= lo:  # degenerate distribution still gets plottable bins
         lo, hi = lo - 0.005, hi + 0.005
     counts, edges = np.histogram(bas, bins=bins, range=(lo, hi))
-    return VariabilityResult(config.features, config.size, kernel.name, trials, master_seed,
-                             records, mean, std, edges, counts)
+    return {"format": VARIABILITY_FORMAT, "version": RESULT_VERSION,
+            "features": config.features, "size": config.size, "kernel": kernel.name,
+            "trials": trials, "master_seed": master_seed,
+            "records": [asdict(r) for r in records], "mean": mean, "std": std,
+            "histogram": {"bin_edges": edges.tolist(), "counts": counts.tolist()}}
 
 
 # --- serialization ----------------------------------------------------------------
 
-SWEEP_FORMAT = "qkslab-sweep"
-PTRI_FORMAT = "qkslab-ptri"
-VARIABILITY_FORMAT = "qkslab-variability"
-RESULT_VERSION = "1.0"
 RECORD_FIELDS = tuple(f.name for f in record_fields(TrialRecord))
 TABLE_FIELDS = tuple(name for name in RECORD_FIELDS if name != "fingerprint")  # CSV record columns
-
-
-def _record(r: dict) -> TrialRecord:
-    """A document's record, checked as a ``TrialRecord``; keys beyond its fields are ignored."""
-    return TrialRecord(**{name: r[name] for name in RECORD_FIELDS})
 
 
 def sweep_to_doc(sr: SweepResult) -> dict:
@@ -326,46 +318,25 @@ def sweep_from_doc(doc: dict, where="document") -> SweepResult:
         kernels = {k["name"]: k for k in doc["kernels"]}
         if len(kernels) != len(doc["kernels"]):
             raise ValueError("kernel names must be unique")
-        configs = _unique_grid(doc["configs"])
+        configs, trials = _unique_grid(doc["configs"]), _count("trials", doc["trials"])
         for cell in doc["cells"]:
-            key = (cell["features"], cell["size"], cell["kernel"])
-            trials = [r["trial"] for r in cell["records"]]
-            if trials != list(range(doc["trials"])) or not trials:
-                raise ValueError(f"cell {key} holds trials {trials} for {doc['trials']} trials")
+            key = (_count("F", cell["features"]), _count("N", cell["size"]), cell["kernel"])
+            held = [r["trial"] for r in cell["records"]]
+            if held != list(range(trials)):
+                raise ValueError(f"cell {key} holds trials {held} for {trials} trials")
             if cell["kernel"] not in kernels:
                 raise ValueError(f"cell {key} names a kernel the sweep does not list")
             if ConfigPoint(*key[:2]) not in configs or key in cells:
                 raise ValueError(f"cell {key} is off the sweep's grid or listed twice")
-            cells[key] = [_record(r) for r in cell["records"]]
+            # each record is checked as a TrialRecord; keys beyond its fields are ignored
+            cells[key] = [TrialRecord(**{name: r[name] for name in RECORD_FIELDS})
+                          for r in cell["records"]]
         missing = [(c.features, c.size, k) for c in configs for k in kernels
                    if (c.features, c.size, k) not in cells]
         if missing:
             raise ValueError(f"no cells for {missing}")
-        return SweepResult(configs, kernels, doc["trials"], doc["master_seed"],
+        return SweepResult(configs, kernels, trials, doc["master_seed"],
                            doc["split_ratio"], doc["svm"]["C"], doc["svm"]["tol"], cells)
-
-
-def ptri_to_doc(grid: PTRIGrid, metric: str, trial_selection: str, baseline: str | None) -> dict:
-    return {
-        "format": PTRI_FORMAT, "version": RESULT_VERSION,
-        "metric": metric, "trial_selection": trial_selection, "baseline": baseline,
-        "feature_axis": list(grid.feature_axis), "size_axis": list(grid.size_axis),
-        "surfaces": {
-            method: {"values": grid.values[method].tolist(), "scores": grid.scores[method].tolist()}
-            for method in sorted(grid.values)
-        },
-    }
-
-
-def variability_to_doc(vr: VariabilityResult) -> dict:
-    return {
-        "format": VARIABILITY_FORMAT, "version": RESULT_VERSION,
-        "features": vr.features, "size": vr.size, "kernel": vr.kernel_name,
-        "trials": vr.trials, "master_seed": vr.master_seed,
-        "records": [asdict(r) for r in vr.records],
-        "mean": vr.mean, "std": vr.std,
-        "histogram": {"bin_edges": vr.bin_edges.tolist(), "counts": vr.bin_counts.tolist()},
-    }
 
 
 def result_table_rows(doc: dict) -> tuple[list[str], list[list]]:

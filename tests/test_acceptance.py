@@ -218,9 +218,9 @@ def test_end_to_end_pipeline():
     diffs = eqa_difference(sweep_a, "yyy", "rbf")
     assert set(diffs) == set(configs)
     for method in ("yyy", "rbf"):
-        grid = ptri(sweep_a, [method])
-        assert grid.scores[method].shape == (len(feature_counts), len(sizes))
-        assert np.all(grid.scores[method] >= 0.0)
+        scores = np.array(ptri(sweep_a, [method])["surfaces"][method]["scores"])
+        assert scores.shape == (len(feature_counts), len(sizes))
+        assert np.all(scores >= 0.0)
 
     # constructed dataset: quantum-separable labels, Euclidean-hostile geometry
     eqa_ds = quantum_separable_dataset(101, rows=460, num_features=7)
@@ -236,15 +236,15 @@ def test_end_to_end_pipeline():
 @criterion(8, "variability study: stored std equals independent recomputation")
 def test_variability_study():
     ds = synthetic_dataset(271, days=460)
-    vr = variability_study(ds, ConfigPoint(5, 200), rbf_config(), trials=200, master_seed=8)
-    bas = [r.balanced_accuracy for r in vr.records]
+    doc = variability_study(ds, ConfigPoint(5, 200), rbf_config(), trials=200, master_seed=8)
+    bas = [r["balanced_accuracy"] for r in doc["records"]]
     assert len(bas) == 200
     n = len(bas)
     mean = sum(bas) / n  # plain-Python recomputation
     std = sqrt(sum((b - mean) ** 2 for b in bas) / (n - 1))
-    assert abs(vr.mean - mean) <= 1e-12
-    assert abs(vr.std - std) <= 1e-12
-    assert vr.std > 0.0
+    assert abs(doc["mean"] - mean) <= 1e-12
+    assert abs(doc["std"] - std) <= 1e-12
+    assert doc["std"] > 0.0
 
 
 @criterion(9, "manifests replay to byte-identical outputs")

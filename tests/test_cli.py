@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkslab import __version__
+from qkslab import __version__, experiment
 from qkslab.cli import build_parser, main
 from qkslab.data import DEFAULT_SPLIT_RATIO, SubsetSpec
 from qkslab.documents import read_json
@@ -363,6 +363,13 @@ def _dataset_doc(value, label=-1) -> dict:
     ("ptri", {**_SWEEP_DOC, "trials": 2, "cells": [_cell("rbf", trials=(0, 0))]}),
     ("ptri", {**_SWEEP_DOC, "trials": 2, "cells": [_cell("rbf", trials=(1, 0))]}),
     ("ptri", {**_SWEEP_DOC, "configs": [], "cells": []}),
+    ("ptri", {**_SWEEP_DOC, "configs": [[True, 30]], "cells": [_cell("rbf", features=1)]}),
+    ("ptri", {**_SWEEP_DOC, "configs": [[1.0, 30]], "cells": [_cell("rbf", features=1)]}),
+    ("ptri", {**_SWEEP_DOC, "configs": [[0, 30]], "cells": [_cell("rbf", features=0)]}),
+    ("ptri", {**_SWEEP_DOC, "configs": [[2, 30.0]], "cells": [_cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "trials": True, "cells": [_cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", features=2.0)]}),
+    ("ptri", {**_SWEEP_DOC, "configs": [[1, 30]], "cells": [_cell("rbf", features=True)]}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score="0.5")]}),
@@ -391,7 +398,9 @@ def _dataset_doc(value, label=-1) -> dict:
 ], ids=["sweep-without-kernels", "cell-without-records", "sweep-without-cells",
         "cell-of-unlisted-kernel", "kernel-listed-twice", "grid-point-listed-twice",
         "cell-off-the-grid", "cell-listed-twice", "trial-index-repeated", "trials-out-of-order",
-        "sweep-without-grid-points",
+        "sweep-without-grid-points", "grid-feature-count-true", "grid-feature-count-float",
+        "grid-feature-count-zero", "grid-size-float", "trials-true", "cell-feature-count-float",
+        "cell-feature-count-true",
         "ptri-nan-score", "report-nan-score", "ptri-string-score", "ptri-score-above-one",
         "ptri-bool-score", "report-string-score", "report-score-above-one", "report-bool-score",
         "ptri-on-a-ptri-file", "ptri-on-a-variability-file",
@@ -644,6 +653,21 @@ def test_non_finite_svm_and_kernel_settings_are_errors(dataset, tmp_path, capsys
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert err.startswith("error: ") and "must be a finite positive number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_variability_without_histogram_bins_is_an_error_before_any_trial(
+        dataset, tmp_path, capsys, monkeypatch, bins):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("variability ran its trials before refusing --bins")
+
+    monkeypatch.setattr(experiment, "run_sweep", no_trials)
+    out = tmp_path / "var.json"
+    code, _, err = _run(["variability", "--dataset", str(dataset), "--size", "30", "--features", "2",
+                         "--trials", "3", "--bins", bins, "--out", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: variability needs at least one histogram bin, got {bins}\n"
     assert not out.exists()
 
 

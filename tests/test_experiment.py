@@ -1,6 +1,7 @@
 """Tests for sweeps, reference trials, EQA, PTRI, and the variability study."""
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from math import sqrt
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from qkslab.data import quantum_separable_dataset, synthetic_dataset
 from qkslab.experiment import (ConfigPoint, SweepResult, TrialRecord, cell,
                                eqa_difference, mean_std, ptri, ptri_scores,
-                               ptri_to_doc, result_table_rows, run_sweep,
+                               result_table_rows, run_sweep,
                                select_reference_trials, sweep_from_doc, sweep_to_doc,
-                               variability_study, variability_to_doc, write_table)
+                               variability_study, write_table)
 from qkslab.documents import read_json, write_json
 from qkslab.feature_maps import PRESETS
 from qkslab.kernels import quantum_config, rbf_config
@@ -194,19 +195,31 @@ def test_a_sweep_needs_a_grid_point():
         run_sweep(synthetic_dataset(1, days=80), [], [rbf_config()], trials=1, master_seed=5)
 
 
+@pytest.mark.parametrize("configs, trials, refused", [
+    ([(True, 40)], 1, "F must be an integer >= 1, got True"),
+    ([(2.0, 40)], 1, "F must be an integer >= 1, got 2.0"),
+    ([(0, 40)], 1, "F must be an integer >= 1, got 0"),
+    ([(2, 40.0)], 1, "N must be an integer >= 1, got 40.0"),
+    ([(2, 40)], True, "trials must be an integer >= 1, got True"),
+    ([(2, 40)], 0, "trials must be an integer >= 1, got 0"),
+], ids=["F-true", "F-float", "F-zero", "N-float", "trials-true", "trials-zero"])
+def test_grid_counts_and_trials_are_integers_of_at_least_one(configs, trials, refused):
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        run_sweep(synthetic_dataset(1, days=80), configs, [rbf_config()], trials, master_seed=5)
+
+
 # --- PTRI ---
 
 def test_ptri_flat_grid_is_zero():
     cells = {(f, n, "m"): [0.6] for f in (5, 6, 7) for n in (200, 300, 400)}
-    grid = ptri(_fake_sweep(cells), ["m"])
-    assert np.all(grid.scores["m"] == 0.0)
+    doc = ptri(_fake_sweep(cells), ["m"])
+    assert np.all(np.array(doc["surfaces"]["m"]["scores"]) == 0.0)
 
 
 def test_ptri_center_hand_example():
     cells = {(f, n, "m"): [0.6] for f in (5, 6, 7) for n in (200, 300, 400)}
     cells[(6, 300, "m")] = [0.5]
-    grid = ptri(_fake_sweep(cells), ["m"])
-    center = grid.scores["m"][1, 1]
+    center = ptri(_fake_sweep(cells), ["m"])["surfaces"]["m"]["scores"][1][1]
     assert center == pytest.approx(sqrt(8 * 0.01), abs=1e-10)
     assert center == pytest.approx(0.2828, abs=5e-4)
 
@@ -248,7 +261,11 @@ def test_ptri_reference_surfaces_with_a_baseline_are_the_oracle_surfaces():
              for f in feature_axis for n in size_axis for k in ("q", "c")}
     configs = tuple(ConfigPoint(f, n) for f in feature_axis for n in size_axis)
     sr = SweepResult(configs, {"q": {}, "c": {}}, trials, 0, 0.7, 1.0, 1e-3, cells)
-    grid = ptri(sr, ["q", "c"], "f1", "reference", "c")
+    doc = ptri(sr, ["q", "c"], "f1", "reference", "c")
+    assert (doc["format"], doc["version"]) == ("qkslab-ptri", "1.0")
+    assert (doc["metric"], doc["trial_selection"], doc["baseline"]) == ("f1", "reference", "c")
+    assert (doc["feature_axis"], doc["size_axis"]) == (list(feature_axis), list(size_axis))
+    assert set(doc["surfaces"]) == {"q", "c"}
     for method in ("q", "c"):
         expected = np.zeros((len(feature_axis), len(size_axis)))
         for fi, f in enumerate(feature_axis):
@@ -257,8 +274,8 @@ def test_ptri_reference_surfaces_with_a_baseline_are_the_oracle_surfaces():
                 picked = [cells[(f, n, method)][t].f1
                           for t in sorted({base.index(min(base)), base.index(max(base))})]
                 expected[fi, si] = sum(picked) / len(picked)
-        assert np.array_equal(grid.values[method], expected)
-        assert np.array_equal(grid.scores[method], reference_ptri_scores(expected))
+        assert doc["surfaces"][method] == {"values": expected.tolist(),
+                                           "scores": reference_ptri_scores(expected).tolist()}
 
 
 def test_ptri_requires_full_grid():
@@ -269,21 +286,20 @@ def test_ptri_requires_full_grid():
 
 def test_ptri_reference_selection_averages_min_max_trials():
     cells = {(f, n, "m"): [0.4, 0.9, 0.6] for f in (5, 6) for n in (200, 300)}
-    grid = ptri(_fake_sweep(cells, trials=3), ["m"], trial_selection="reference")
-    np.testing.assert_allclose(grid.values["m"], 0.65)  # mean of min and max trials
+    doc = ptri(_fake_sweep(cells, trials=3), ["m"], trial_selection="reference")
+    np.testing.assert_allclose(doc["surfaces"]["m"]["values"], 0.65)  # mean of min and max trials
 
 
 def test_ptri_scores_every_method():
     cells = {(f, n, k): [0.5] for f in (5, 6) for n in (200, 300) for k in ("a", "b")}
     cells[(6, 300, "b")] = [0.9]
     sr = _fake_sweep(cells, kernels=("a", "b"))
-    grid = ptri(sr, ["a", "b"])
-    assert set(grid.scores) == set(grid.values) == {"a", "b"}
+    surfaces = ptri(sr, ["a", "b"])["surfaces"]
+    assert set(surfaces) == {"a", "b"}
     for method in ("a", "b"):
-        alone = ptri(sr, [method])
-        assert np.array_equal(grid.values[method], alone.values[method])
-        assert np.array_equal(grid.scores[method], alone.scores[method])
-    assert grid.scores["a"].max() == 0.0 < grid.scores["b"].max()
+        assert set(surfaces[method]) == {"values", "scores"}
+        assert surfaces[method] == ptri(sr, [method])["surfaces"][method]
+    assert np.max(surfaces["a"]["scores"]) == 0.0 < np.max(surfaces["b"]["scores"])
     with pytest.raises(ValueError):
         ptri(sr, [])
 
@@ -296,10 +312,11 @@ def test_ptri_scores_every_method():
 def test_variability_records_are_the_one_point_sweep_records(kernel):
     ds = synthetic_dataset(6, days=80)
     point = ConfigPoint(2, 30)
-    vr = variability_study(ds, point, kernel, trials=3, master_seed=1, split_ratio=0.6,
-                           svm_c=2.0, svm_tol=1e-4)
+    doc = variability_study(ds, point, kernel, trials=3, master_seed=1, split_ratio=0.6,
+                            svm_c=2.0, svm_tol=1e-4)
     sr = run_sweep(ds, [point], [kernel], 3, 1, 0.6, 2.0, 1e-4)
-    assert vr.records == sr.records(point, kernel.name)
+    assert doc["records"] == [asdict(r) for r in sr.records(point, kernel.name)]
+    assert (doc["features"], doc["size"], doc["kernel"]) == (2, 30, kernel.name)
 
 
 def test_two_point_sample_std():
@@ -311,11 +328,11 @@ def test_two_point_sample_std():
 
 def test_variability_reported_std_matches_recomputation():
     ds = synthetic_dataset(7, days=90)
-    vr = variability_study(ds, ConfigPoint(3, 40), rbf_config(), trials=12, master_seed=3)
-    bas = [r.balanced_accuracy for r in vr.records]
+    doc = variability_study(ds, ConfigPoint(3, 40), rbf_config(), trials=12, master_seed=3)
+    bas = [r["balanced_accuracy"] for r in doc["records"]]
     mean, std = mean_std(bas)
-    assert vr.mean == mean and vr.std == std  # identical arithmetic, bit-equal
-    assert vr.bin_counts.sum() == 12
+    assert doc["mean"] == mean and doc["std"] == std  # identical arithmetic, bit-equal
+    assert sum(doc["histogram"]["counts"]) == 12
     with pytest.raises(ValueError):
         variability_study(ds, ConfigPoint(3, 40), rbf_config(), trials=1, master_seed=3)
 
@@ -352,12 +369,10 @@ def test_result_tables(tmp_path):
     write_table(sweep_doc, tmp_path / "sweep.csv")
     assert (tmp_path / "sweep.csv").read_text().startswith("features,size,kernel")
 
-    grid = ptri(sr, ["m"])
-    ptri_doc = ptri_to_doc(grid, "balanced_accuracy", "all", None)
-    header, rows = result_table_rows(ptri_doc)
+    header, rows = result_table_rows(ptri(sr, ["m"]))
     assert len(rows) == 4
 
     ds = synthetic_dataset(9, days=80)
-    vr = variability_study(ds, ConfigPoint(2, 30), rbf_config(), trials=3, master_seed=2)
-    header, rows = result_table_rows(variability_to_doc(vr))
+    header, rows = result_table_rows(variability_study(ds, ConfigPoint(2, 30), rbf_config(),
+                                                       trials=3, master_seed=2))
     assert len(rows) == 3
