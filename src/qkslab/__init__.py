@@ -15,7 +15,7 @@ from .metrics import ConfusionMatrix, balanced_accuracy, confusion, f1
 from .data import (Dataset, RawSeries, SubsetSpec, ingest, label_direction, sample_subset,
                    scale_split, synthetic_dataset, quantum_separable_dataset)
 from .experiment import (ConfigPoint, SweepResult, eqa_difference, ptri, run_sweep,
-                         select_reference_trials, variability_study)
+                         select_reference_trials, sweep_from_doc, variability_study)
 from .resources import ResourceEstimate, estimate, verify_against_circuit
 
 __version__ = "0.6.0"

@@ -1,8 +1,9 @@
 """Command-line entry point wiring the modules into file-driven runs.
 
 Every subcommand writes a ``<out>.manifest.json`` sidecar recording every
-parsed argument, input digests, and output digests; ``qkslab replay``
-re-executes a manifest and verifies the outputs are byte-identical.
+parsed argument, the qkslab and numpy versions, input digests, and output
+digests; ``qkslab replay`` re-executes a manifest under the same versions and
+verifies the outputs are byte-identical.
 Outputs never embed timestamps, so reruns reproduce files exactly.
 """
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -19,18 +19,17 @@ import numpy as np
 from . import __version__
 from .data import (DEFAULT_DAYS, DEFAULT_FEATURES, DEFAULT_SPLIT_RATIO, ingest, label_direction,
                    read_dataset, synthetic_dataset, write_dataset)
-from .documents import check_format, read_json, write_csv, write_json
+from .documents import fields, read_json, write_csv, write_json
 from .experiment import (ConfigPoint, DEFAULT_BINS, DEFAULT_FEATURE_COUNTS, DEFAULT_SIZES,
                          ExperimentError, METRICS, RESULT_VERSION, SWEEP_FORMAT, ptri,
-                         run_sweep, sweep_from_doc, sweep_to_doc, trial, variability_study,
-                         write_table)
+                         run_sweep, sweep_from_doc, trial, variability_study, write_table)
 from .feature_maps import DEFAULT_REPETITIONS, PRESETS
 from .kernels import SHOT_CAP, gram_matrix, quantum_config, rbf_config, write_gram
 from .resources import TABLE_HEADER, verification_table
 from .svm import DEFAULT_C, DEFAULT_TOL
 
 MANIFEST_FORMAT = "qkslab-manifest"
-MANIFEST_VERSION = "1.0"
+MANIFEST_VERSION = "1.1"
 _MANIFEST_FIELDS = {"command": str, "arguments": dict, "inputs": dict, "outputs": dict}
 
 KERNEL_CHOICES = (*PRESETS, "rbf")
@@ -52,7 +51,7 @@ def _write_manifest(args, inputs: list, outputs: list) -> None:
     """Write ``<out>.manifest.json``: every parsed argument plus input and output digests."""
     write_json({
         "format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, "tool_version": __version__,
-        "command": args.command,
+        "numpy": np.__version__, "command": args.command,
         "arguments": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
@@ -167,11 +166,11 @@ def cmd_sweep(args) -> int:
     sizes = _parse_int_list(args.sizes)
     feature_counts = _parse_int_list(args.features)
     configs = [ConfigPoint(f, n) for f in feature_counts for n in sizes]
-    sr = run_sweep(ds, configs, _kernels(args, args.kernels.split(",")), args.trials, args.seed,
-                   args.split_ratio, args.c, args.tol)
-    _write_result(args, sweep_to_doc(sr), [args.dataset])
-    print(f"configs={len(configs)} kernels={len(sr.kernel_names)} trials={args.trials} "
-          f"records={sum(len(v) for v in sr.cells.values())}")
+    doc = run_sweep(ds, configs, _kernels(args, args.kernels.split(",")), args.trials, args.seed,
+                    args.split_ratio, args.c, args.tol)
+    _write_result(args, doc, [args.dataset])
+    print(f"configs={len(configs)} kernels={len(doc['kernels'])} trials={args.trials} "
+          f"records={sum(len(c['records']) for c in doc['cells'])}")
     return 0
 
 
@@ -212,20 +211,17 @@ def cmd_resources(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{args.manifest}: malformed manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise CliError(f"{args.manifest}: malformed manifest: not a JSON object")
-    check_format(manifest, {MANIFEST_FORMAT: MANIFEST_VERSION}, args.manifest)
+    manifest = read_json(args.manifest, {MANIFEST_FORMAT: MANIFEST_VERSION})
     if manifest.get("tool_version") != __version__:
         raise CliError(f"{args.manifest}: written by qkslab {manifest.get('tool_version')}, "
                        f"this is qkslab {__version__}")
-    bad = [key for key, kind in _MANIFEST_FIELDS.items() if not isinstance(manifest.get(key), kind)]
-    if bad:
-        raise CliError(f"{args.manifest}: malformed manifest: missing or mistyped {', '.join(bad)}")
+    if manifest.get("numpy", "unknown") != np.__version__:
+        raise CliError(f"{args.manifest}: written under numpy {manifest.get('numpy', 'unknown')}, "
+                       f"this is numpy {np.__version__}")
+    with fields(args.manifest):
+        bad = [key for key, kind in _MANIFEST_FIELDS.items() if not isinstance(manifest[key], kind)]
+        if bad:
+            raise ValueError(f"mistyped {', '.join(bad)}")
     for path, digest in manifest["inputs"].items():
         if not Path(path).exists():
             raise CliError(f"replay input missing: {path}")

@@ -278,6 +278,13 @@ def scale_split(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
 
 # --- subset sampling -----------------------------------------------------------
 
+def check_split_ratio(value):
+    """``value`` if it is a number in (0, 1) (a bool is not one): the train share of a subset."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < 1:
+        raise ValueError(f"split_ratio must be a number in (0, 1), got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SubsetSpec:
     size: int
@@ -290,8 +297,7 @@ class SubsetSpec:
             raise ValueError("subset size must be >= 2")
         if self.num_features < 1:
             raise ValueError("num_features must be >= 1")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ValueError("split_ratio must lie in (0, 1)")
+        check_split_ratio(self.split_ratio)
 
 
 def _take(ds: Dataset, idx: np.ndarray, num_features: int) -> Dataset:

@@ -1,5 +1,6 @@
 """The files qkslab writes: CSV tables and tagged JSON documents, of which it reads back
-datasets, sweeps and manifests only; a PTRI or variability result is built as its document.
+datasets, sweeps and manifests only, each through ``read_json`` and ``fields``; a sweep,
+PTRI or variability result is built as its document.
 
 A dataset, Gram, sweep, PTRI, variability or manifest file is a JSON object
 with a ``format`` tag and a ``version``, written as one line of compact JSON

@@ -5,8 +5,9 @@ and trial it draws one stratified subset and evaluates every kernel on
 that same subset (paired design), so kernel comparisons are same-data by
 construction.  Trial seeds derive from mix64(master_seed, F, N, trial),
 which makes the whole sweep a pure function of its arguments.
-A sweep is a ``SweepResult`` (``sweep_to_doc``, ``sweep_from_doc``); ``ptri`` and
-``variability_study`` return their documents, the only form of a file never read back.
+``run_sweep``, ``ptri`` and ``variability_study`` return the documents they are
+written as; a sweep file is read back as a ``SweepResult`` (``sweep_from_doc``), which
+holds what the grid analyses read of it.
 """
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ from dataclasses import asdict, dataclass, fields as record_fields, replace
 
 import numpy as np
 
-from .data import DEFAULT_SPLIT_RATIO, Dataset, SubsetSpec, sample_subset, scale_split
+from .data import (DEFAULT_SPLIT_RATIO, Dataset, SubsetSpec, check_split_ratio, sample_subset,
+                   scale_split)
 from .documents import check_format, fields, write_csv
-from .kernels import KernelConfig, config_to_doc, gram_pair
+from .kernels import KernelConfig, check_positive, config_to_doc, gram_pair
 from .metrics import balanced_accuracy, confusion, f1
 from .seeding import mix64
 from .svm import DEFAULT_C, DEFAULT_TOL, predict, train
@@ -62,21 +64,14 @@ class TrialRecord:
 
 @dataclass(eq=False)
 class SweepResult:
+    """A sweep file as ``sweep_from_doc`` reads it: grid, kernel names, trial count, records."""
     configs: tuple[ConfigPoint, ...]
-    kernels: dict[str, dict]  # each kernel's ``config_to_doc`` description, by name
+    kernel_names: tuple[str, ...]
     trials: int
-    master_seed: int
-    split_ratio: float
-    svm_c: float
-    svm_tol: float
     cells: dict[tuple[int, int, str], list[TrialRecord]]
 
-    @property
-    def kernel_names(self) -> tuple[str, ...]:
-        return tuple(self.kernels)
-
     def records(self, config: ConfigPoint, kernel: str) -> list[TrialRecord]:
-        if kernel not in self.kernels:
+        if kernel not in self.kernel_names:
             raise ValueError(f"kernel {kernel!r} not present in the sweep")
         return self.cells[(config.features, config.size, kernel)]
 
@@ -164,23 +159,40 @@ def cell(ds: Dataset, point: ConfigPoint, t: int, master_seed: int, split_ratio:
             for name, values in scores.items()}
 
 
+def _settings(master_seed, split_ratio, svm_c, svm_tol) -> dict:
+    """A sweep document's settings, each refused outside the range its users accept."""
+    if isinstance(master_seed, bool) or not isinstance(master_seed, int):
+        raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
+    return {"master_seed": master_seed, "split_ratio": check_split_ratio(split_ratio),
+            "svm": {"C": check_positive("C", svm_c), "tol": check_positive("tol", svm_tol)}}
+
+
 def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
               split_ratio: float = DEFAULT_SPLIT_RATIO, svm_c: float = DEFAULT_C,
-              svm_tol: float = DEFAULT_TOL) -> SweepResult:
-    """Every kernel at every (config, trial) on shared subsets: each ``cell``, in grid order."""
+              svm_tol: float = DEFAULT_TOL) -> dict:
+    """The ``qkslab-sweep`` document of every kernel at every (config, trial) on shared subsets:
+    each ``cell`` runs in grid order, and the cells are listed by (F, N, kernel), each with its
+    records and their per-metric mean and std."""
     _count("trials", trials)
     configs = _unique_grid(configs)
-    kernel_docs = {k.name: config_to_doc(k) for k in kernels}
-    if len(kernel_docs) != len(kernels):
+    settings = _settings(master_seed, split_ratio, svm_c, svm_tol)
+    if len({k.name for k in kernels}) != len(kernels):
         raise ValueError("kernel names must be unique")
-    cells = {}
+    cells = []
     for point in configs:
         records = [cell(ds, point, t, master_seed, split_ratio, kernels, svm_c, svm_tol)
                    for t in range(trials)]
-        for name in kernel_docs:
-            cells[(point.features, point.size, name)] = [r[name] for r in records]
-    return SweepResult(configs, kernel_docs, trials, master_seed, split_ratio, svm_c, svm_tol,
-                       cells)
+        for k in kernels:
+            entry = {"features": point.features, "size": point.size, "kernel": k.name,
+                     "records": [asdict(r[k.name]) for r in records]}
+            for metric in METRICS:
+                entry[f"mean_{metric}"], entry[f"std_{metric}"] = mean_std(
+                    r[metric] for r in entry["records"])
+            cells.append(entry)
+    return {"format": SWEEP_FORMAT, "version": RESULT_VERSION, "trials": trials, **settings,
+            "configs": [[c.features, c.size] for c in configs],
+            "kernels": [config_to_doc(k) for k in kernels],
+            "cells": sorted(cells, key=lambda c: (c["features"], c["size"], c["kernel"]))}
 
 
 def select_reference_trials(sr: SweepResult, baseline: str) -> dict[ConfigPoint, tuple[int, int]]:
@@ -264,16 +276,15 @@ def variability_study(ds: Dataset, config: ConfigPoint, kernel: KernelConfig, tr
                       bins: int = DEFAULT_BINS) -> dict:
     """The ``qkslab-variability`` document: repeated subset-train-test cycles and their BA spread.
 
-    The trials are those of a one-point, one-kernel ``run_sweep``.
+    The trials, their mean and std are the one cell of a one-point, one-kernel ``run_sweep``.
     """
     if trials < 2:
         raise ValueError("variability needs at least two trials")
     if bins < 1:
         raise ValueError(f"variability needs at least one histogram bin, got {bins}")
-    records = run_sweep(ds, [config], [kernel], trials, master_seed, split_ratio, svm_c,
-                        svm_tol).records(config, kernel.name)
-    bas = [r.balanced_accuracy for r in records]
-    mean, std = mean_std(bas)
+    (sweep_cell,) = run_sweep(ds, [config], [kernel], trials, master_seed, split_ratio, svm_c,
+                              svm_tol)["cells"]
+    bas = [r["balanced_accuracy"] for r in sweep_cell["records"]]
     lo, hi = min(bas), max(bas)
     if hi <= lo:  # degenerate distribution still gets plottable bins
         lo, hi = lo - 0.005, hi + 0.005
@@ -281,7 +292,8 @@ def variability_study(ds: Dataset, config: ConfigPoint, kernel: KernelConfig, tr
     return {"format": VARIABILITY_FORMAT, "version": RESULT_VERSION,
             "features": config.features, "size": config.size, "kernel": kernel.name,
             "trials": trials, "master_seed": master_seed,
-            "records": [asdict(r) for r in records], "mean": mean, "std": std,
+            "records": sweep_cell["records"], "mean": sweep_cell["mean_balanced_accuracy"],
+            "std": sweep_cell["std_balanced_accuracy"],
             "histogram": {"bin_edges": edges.tolist(), "counts": counts.tolist()}}
 
 
@@ -291,32 +303,14 @@ RECORD_FIELDS = tuple(f.name for f in record_fields(TrialRecord))
 TABLE_FIELDS = tuple(name for name in RECORD_FIELDS if name != "fingerprint")  # CSV record columns
 
 
-def sweep_to_doc(sr: SweepResult) -> dict:
-    cells = []
-    for (features, size, kernel), records in sorted(sr.cells.items()):
-        cell = {"features": features, "size": size, "kernel": kernel,
-                "records": [asdict(r) for r in records]}
-        for metric in METRICS:
-            cell[f"mean_{metric}"], cell[f"std_{metric}"] = mean_std(getattr(r, metric)
-                                                                     for r in records)
-        cells.append(cell)
-    return {
-        "format": SWEEP_FORMAT, "version": RESULT_VERSION,
-        "master_seed": sr.master_seed, "trials": sr.trials, "split_ratio": sr.split_ratio,
-        "svm": {"C": sr.svm_c, "tol": sr.svm_tol},
-        "configs": [[c.features, c.size] for c in sr.configs],
-        "kernels": list(sr.kernels.values()),
-        "cells": cells,
-    }
-
-
 def sweep_from_doc(doc: dict, where="document") -> SweepResult:
     """The sweep in a ``qkslab-sweep`` document; ``where`` names it in errors."""
     check_format(doc, {SWEEP_FORMAT: RESULT_VERSION}, where)
     with fields(where):
+        _settings(doc["master_seed"], doc["split_ratio"], doc["svm"]["C"], doc["svm"]["tol"])
         cells: dict[tuple[int, int, str], list[TrialRecord]] = {}
-        kernels = {k["name"]: k for k in doc["kernels"]}
-        if len(kernels) != len(doc["kernels"]):
+        kernel_names = tuple(k["name"] for k in doc["kernels"])
+        if len(set(kernel_names)) != len(kernel_names):
             raise ValueError("kernel names must be unique")
         configs, trials = _unique_grid(doc["configs"]), _count("trials", doc["trials"])
         for cell in doc["cells"]:
@@ -324,19 +318,18 @@ def sweep_from_doc(doc: dict, where="document") -> SweepResult:
             held = [r["trial"] for r in cell["records"]]
             if held != list(range(trials)):
                 raise ValueError(f"cell {key} holds trials {held} for {trials} trials")
-            if cell["kernel"] not in kernels:
+            if cell["kernel"] not in kernel_names:
                 raise ValueError(f"cell {key} names a kernel the sweep does not list")
             if ConfigPoint(*key[:2]) not in configs or key in cells:
                 raise ValueError(f"cell {key} is off the sweep's grid or listed twice")
             # each record is checked as a TrialRecord; keys beyond its fields are ignored
             cells[key] = [TrialRecord(**{name: r[name] for name in RECORD_FIELDS})
                           for r in cell["records"]]
-        missing = [(c.features, c.size, k) for c in configs for k in kernels
+        missing = [(c.features, c.size, k) for c in configs for k in kernel_names
                    if (c.features, c.size, k) not in cells]
         if missing:
             raise ValueError(f"no cells for {missing}")
-        return SweepResult(configs, kernels, trials, doc["master_seed"],
-                           doc["split_ratio"], doc["svm"]["C"], doc["svm"]["tol"], cells)
+        return SweepResult(configs, kernel_names, trials, cells)
 
 
 def result_table_rows(doc: dict) -> tuple[list[str], list[list]]:

@@ -36,6 +36,13 @@ _PSD_TOL = 1e-8
 _CROSS = 0x435253  # role word "CRS" in cross-gram entry seeds
 
 
+def check_positive(name: str, value):
+    """``value`` if it is a finite number > 0 (a bool is not one): rbf gamma, SVM C and tol."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """A kernel: quantum when it has a feature map, in shots mode when it has shots."""
@@ -58,8 +65,8 @@ class KernelConfig:
             raise ValueError("gamma applies to the rbf kernel only")
         if self.feature_map is None and self.shots is not None:
             raise ValueError("rbf kernel supports exact mode only")
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be a finite positive number, got {self.gamma}")
+        if self.gamma is not None:
+            check_positive("gamma", self.gamma)
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots mode requires shots >= 1")
         if not self.name:

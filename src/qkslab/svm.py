@@ -15,13 +15,12 @@ plain loop ``tests/oracles.reference_smo``.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramMatrix
+from .kernels import GramMatrix, check_positive
 from .metrics import check_labels
 
 DEFAULT_C = 1.0
@@ -62,11 +61,8 @@ def train(gram: GramMatrix, labels, C: float = DEFAULT_C, tol: float = DEFAULT_T
     check_labels(y)
     if np.all(y > 0) or np.all(y < 0):
         raise ValueError("single-class labels: both classes must be present")
-    for name, value in (("C", C), ("tol", tol)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be a finite positive number, got {value}")
-
-    C = float(C)
+    C = float(check_positive("C", C))
+    check_positive("tol", tol)
     K = gram.values
     ys = y.tolist()
     diag = K.diagonal().tolist()

@@ -17,7 +17,7 @@ import pytest
 from qkslab.cli import main as cli_main
 from qkslab.data import quantum_separable_dataset, synthetic_dataset
 from qkslab.experiment import (ConfigPoint, eqa_difference, mean_std, ptri, ptri_scores,
-                               run_sweep, select_reference_trials, sweep_to_doc,
+                               run_sweep, select_reference_trials, sweep_from_doc,
                                variability_study)
 from qkslab.feature_maps import PRESETS, FeatureMapSpec
 from qkslab.kernels import GramMatrix, gram_matrix, quantum_config, rbf_config
@@ -195,10 +195,10 @@ def test_end_to_end_pipeline():
     master_seed = 2025
 
     ds = synthetic_dataset(314, days=460)
-    sweep_a = run_sweep(ds, configs, kernels, trials=5, master_seed=master_seed)
-    sweep_b = run_sweep(ds, configs, kernels, trials=5, master_seed=master_seed)
-    doc_a, doc_b = sweep_to_doc(sweep_a), sweep_to_doc(sweep_b)
+    doc_a = run_sweep(ds, configs, kernels, trials=5, master_seed=master_seed)
+    doc_b = run_sweep(ds, configs, kernels, trials=5, master_seed=master_seed)
     assert doc_a == doc_b  # full-sweep determinism
+    sweep_a = sweep_from_doc(doc_a)
 
     # paired design: per (config, trial) every kernel saw the same subset
     for cfg in configs:
@@ -224,8 +224,9 @@ def test_end_to_end_pipeline():
 
     # constructed dataset: quantum-separable labels, Euclidean-hostile geometry
     eqa_ds = quantum_separable_dataset(101, rows=460, num_features=7)
-    eqa_sweep = run_sweep(eqa_ds, configs, [quantum_config("yyy", 7, 2), rbf_config()],
-                          trials=5, master_seed=master_seed)
+    eqa_sweep = sweep_from_doc(run_sweep(eqa_ds, configs,
+                                         [quantum_config("yyy", 7, 2), rbf_config()],
+                                         trials=5, master_seed=master_seed))
     advantage = eqa_difference(eqa_sweep, "yyy", "rbf")
     for cfg in configs:
         assert advantage[cfg] > 0.0, cfg

@@ -241,6 +241,39 @@ def test_sweep_with_a_repeated_grid_point_is_an_error(dataset, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, refused", [
+    (["--split-ratio", "1.5"], "split_ratio must be a number in (0, 1), got 1.5"),
+    (["--c", "-1"], "C must be a finite positive number, got -1.0"),
+], ids=["split-ratio-above-one", "c-negative"])
+def test_sweep_settings_out_of_range_are_errors_before_any_cell(dataset, tmp_path, capsys,
+                                                                  monkeypatch, flags, refused):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("sweep ran a cell before refusing its settings")
+
+    monkeypatch.setattr(experiment, "cell", no_cells)
+    out = tmp_path / "sweep.json"
+    code, _, err = _run(["sweep", "--dataset", str(dataset), "--sizes", "30", "--features", "2",
+                         "--kernels", "rbf", "--trials", "1", *flags, "--out", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: {refused}\n"
+    assert not out.exists()
+
+
+def test_a_cli_sweep_file_read_back_holds_what_the_bench_checks_read(dataset, tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert _run(["sweep", "--dataset", str(dataset), "--sizes", "24,30", "--features", "2,3",
+                 "--kernels", "yyy,rbf", "--trials", "2", "--out", str(out)], capsys)[0] == 0
+    sr = experiment.sweep_from_doc(read_json(out, {"qkslab-sweep": "1.0"}), out)
+    grid = [(f, n) for f in (2, 3) for n in (24, 30)]
+    assert [(c.features, c.size) for c in sr.configs] == grid
+    assert (sr.kernel_names, sr.trials) == (("yyy", "rbf"), 2)
+    assert set(sr.cells) == {(f, n, k) for f, n in grid for k in sr.kernel_names}
+    for records in sr.cells.values():  # one record per trial, in trial order
+        assert [r.trial for r in records] == list(range(sr.trials))
+    diffs = experiment.eqa_difference(sr, "yyy", "rbf")
+    assert sorted((c.features, c.size) for c in diffs) == grid
+
+
 @pytest.mark.parametrize("command", [
     ["sweep", "--sizes", "400", "--features", "2", "--kernels", "rbf", "--trials", "1"],
     ["variability", "--features", "9", "--size", "30", "--trials", "2"],
@@ -370,6 +403,12 @@ def _dataset_doc(value, label=-1) -> dict:
     ("ptri", {**_SWEEP_DOC, "trials": True, "cells": [_cell("rbf")]}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", features=2.0)]}),
     ("ptri", {**_SWEEP_DOC, "configs": [[1, 30]], "cells": [_cell("rbf", features=True)]}),
+    ("ptri", {**_SWEEP_DOC, "master_seed": "abc", "cells": [_cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "master_seed": True, "cells": [_cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "split_ratio": "x", "cells": [_cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "split_ratio": 1.5, "cells": [_cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "svm": {"C": -1, "tol": 0.001}, "cells": [_cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "svm": {"C": 1.0, "tol": None}, "cells": [_cell("rbf")]}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score="0.5")]}),
@@ -400,7 +439,8 @@ def _dataset_doc(value, label=-1) -> dict:
         "cell-off-the-grid", "cell-listed-twice", "trial-index-repeated", "trials-out-of-order",
         "sweep-without-grid-points", "grid-feature-count-true", "grid-feature-count-float",
         "grid-feature-count-zero", "grid-size-float", "trials-true", "cell-feature-count-float",
-        "cell-feature-count-true",
+        "cell-feature-count-true", "master-seed-string", "master-seed-true",
+        "split-ratio-string", "split-ratio-one-and-a-half", "svm-c-negative", "svm-tol-null",
         "ptri-nan-score", "report-nan-score", "ptri-string-score", "ptri-score-above-one",
         "ptri-bool-score", "report-string-score", "report-score-above-one", "report-bool-score",
         "ptri-on-a-ptri-file", "ptri-on-a-variability-file",
@@ -425,6 +465,15 @@ def test_malformed_input_files_are_errors(tmp_path, capsys, command, doc):
         assert err == f"error: {path}: not a qkslab-sweep document\n"
     assert not (tmp_path / "out").exists()
     assert not table.exists()
+
+
+def test_the_one_cell_sweep_file_is_read(tmp_path, capsys):
+    """The rows above that edit one setting of this file are refused for that setting alone."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**_SWEEP_DOC, "cells": [_cell("rbf")]}))
+    code, _, err = _run(["ptri", "--sweep", str(path), "--methods", "rbf",
+                         "--out", str(tmp_path / "out")], capsys)
+    assert code == 0, err
 
 
 def test_ingest_csv_field_over_the_csv_limit_is_an_error(tmp_path, capsys):
@@ -470,6 +519,7 @@ def test_manifest_records_every_parsed_argument(run_inputs, capsys, name):
     assert set(manifest["arguments"]) == set(parsed) - {"command", "func"}
     assert manifest["arguments"] == {k: parsed[k] for k in manifest["arguments"]}
     assert manifest["command"] == parsed["command"]
+    assert (manifest["version"], manifest["numpy"]) == ("1.1", np.__version__)
 
 
 def test_replay_detects_changed_inputs(tmp_path, capsys):
@@ -484,8 +534,9 @@ def test_replay_detects_changed_inputs(tmp_path, capsys):
     assert "changed" in err
 
 
-_MANIFEST = {"format": "qkslab-manifest", "version": "1.0", "tool_version": __version__,
-             "command": "resources", "arguments": {}, "inputs": {}, "outputs": {}}
+_MANIFEST = {"format": "qkslab-manifest", "version": "1.1", "tool_version": __version__,
+             "numpy": np.__version__, "command": "resources", "arguments": {}, "inputs": {},
+             "outputs": {}}
 
 
 @pytest.mark.parametrize("text", [
@@ -494,14 +545,16 @@ _MANIFEST = {"format": "qkslab-manifest", "version": "1.0", "tool_version": __ve
     *(json.dumps({k: v for k, v in _MANIFEST.items() if k != key})
       for key in ("command", "arguments", "inputs", "outputs")),
     json.dumps({**_MANIFEST, "inputs": ["ds.json"]}),
+    json.dumps({**_MANIFEST, "inputs": {"ds.json": float("nan")}}),
 ], ids=["not-json", "list", "no-command", "no-arguments", "no-inputs", "no-outputs",
-        "inputs-list"])
+        "inputs-list", "nan-token"])
 def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, text):
     manifest_path = tmp_path / "m.manifest.json"
     manifest_path.write_text(text)
     code, _, err = _run(["replay", str(manifest_path)], capsys)
     assert code == 1
-    assert err.startswith(f"error: {manifest_path}: malformed manifest")
+    assert (err.startswith(f"error: {manifest_path}: ")
+            or err.startswith(f"error: malformed {manifest_path}: "))
 
 
 def test_replay_rejects_a_manifest_from_another_tool_version(tmp_path, capsys):
@@ -518,6 +571,30 @@ def test_replay_rejects_a_manifest_from_another_tool_version(tmp_path, capsys):
     code, _, err = _run(["replay", str(manifest_path)], capsys)
     assert code == 1
     assert f"written by qkslab 0.0.1, this is qkslab {__version__}" in err
+
+
+@pytest.mark.parametrize("numpy_version, written", [("1.26.4", "1.26.4"), (None, "unknown")],
+                         ids=["other-numpy", "no-numpy"])
+def test_replay_rejects_a_manifest_from_another_numpy(tmp_path, capsys, numpy_version, written):
+    ds_path = tmp_path / "ds.json"
+    assert _run(["ingest", "--synthetic", "13", "--days", "60", "--out", str(ds_path)], capsys)[0] == 0
+    out = tmp_path / "k.gram"
+    assert _run(["kernel", "--dataset", str(ds_path), "--map", "z", "--features", "2",
+                 "--size", "20", "--out", str(out)], capsys)[0] == 0
+    manifest_path = tmp_path / "k.gram.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if numpy_version is None:
+        del manifest["numpy"]
+    else:
+        manifest["numpy"] = numpy_version
+    manifest_path.write_text(json.dumps(manifest))
+    ds_path.write_text(ds_path.read_text() + "\n")  # numpy is checked before the inputs
+    out.unlink()
+    code, _, err = _run(["replay", str(manifest_path)], capsys)
+    assert code == 1
+    assert err == (f"error: {manifest_path}: written under numpy {written}, "
+                   f"this is numpy {np.__version__}\n")
+    assert not out.exists()  # nothing was rerun
 
 
 @pytest.mark.parametrize("kernel", [["yyy"], ["zz", "--mode", "shots", "--shots", "64"], ["rbf"]],

@@ -1,5 +1,6 @@
 """Tests for sweeps, reference trials, EQA, PTRI, and the variability study."""
 import multiprocessing
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from math import sqrt
@@ -13,7 +14,7 @@ from qkslab.data import quantum_separable_dataset, synthetic_dataset
 from qkslab.experiment import (ConfigPoint, SweepResult, TrialRecord, cell,
                                eqa_difference, mean_std, ptri, ptri_scores,
                                result_table_rows, run_sweep,
-                               select_reference_trials, sweep_from_doc, sweep_to_doc,
+                               select_reference_trials, sweep_from_doc,
                                variability_study, write_table)
 from qkslab.documents import read_json, write_json
 from qkslab.feature_maps import PRESETS
@@ -28,15 +29,19 @@ def _fake_sweep(cell_bas: dict, trials: int = 1, kernels=("m",)) -> SweepResult:
     cells = {}
     for (f, n, k), bas in cell_bas.items():
         cells[(f, n, k)] = [TrialRecord(t, 1000 + t, ba, ba, "fp") for t, ba in enumerate(bas)]
-    return SweepResult(tuple(ConfigPoint(f, n) for f, n in configs),
-                       {k: {"name": k} for k in kernels}, trials, 0, 0.7, 1.0, 1e-3, cells)
+    return SweepResult(tuple(ConfigPoint(f, n) for f, n in configs), tuple(kernels), trials, cells)
+
+
+def _cells(doc: dict) -> dict:
+    """A sweep document's cells by (F, N, kernel)."""
+    return {(c["features"], c["size"], c["kernel"]): c for c in doc["cells"]}
 
 
 # --- run_sweep ---
 
 def test_single_cell_sweep_shape():
     ds = synthetic_dataset(1, days=80)
-    sr = run_sweep(ds, [(3, 40)], [rbf_config()], trials=1, master_seed=5)
+    sr = sweep_from_doc(run_sweep(ds, [(3, 40)], [rbf_config()], trials=1, master_seed=5))
     records = sr.records(ConfigPoint(3, 40), "rbf")
     assert len(records) == 1
     assert 0.0 <= records[0].balanced_accuracy <= 1.0
@@ -47,15 +52,15 @@ def test_sweep_is_deterministic():
     kernels = [quantum_config("z", 2, 1), rbf_config()]
     a = run_sweep(ds, [(2, 40), (3, 50)], kernels, trials=2, master_seed=42)
     b = run_sweep(ds, [(2, 40), (3, 50)], kernels, trials=2, master_seed=42)
-    assert sweep_to_doc(a) == sweep_to_doc(b)
+    assert a == b
     c = run_sweep(ds, [(2, 40), (3, 50)], kernels, trials=2, master_seed=43)
-    assert sweep_to_doc(a) != sweep_to_doc(c)
+    assert a != c
 
 
 def test_paired_design_shares_subsets_across_kernels():
     ds = synthetic_dataset(3, days=90)
     kernels = [quantum_config("yyy", 2, 1), quantum_config("z", 2, 1), rbf_config()]
-    sr = run_sweep(ds, [(2, 40)], kernels, trials=3, master_seed=7)
+    sr = sweep_from_doc(run_sweep(ds, [(2, 40)], kernels, trials=3, master_seed=7))
     for t in range(3):
         prints = {sr.records(ConfigPoint(2, 40), k.name)[t].fingerprint for k in kernels}
         assert len(prints) == 1
@@ -63,7 +68,8 @@ def test_paired_design_shares_subsets_across_kernels():
 
 def test_separable_dataset_reaches_high_accuracy():
     ds = quantum_separable_dataset(29, rows=160, num_features=5)
-    sr = run_sweep(ds, [(5, 120)], [quantum_config("yyy", 5, 2)], trials=10, master_seed=11)
+    sr = sweep_from_doc(run_sweep(ds, [(5, 120)], [quantum_config("yyy", 5, 2)], trials=10,
+                                  master_seed=11))
     mean, _ = mean_std(sr.metric_values(ConfigPoint(5, 120), "yyy"))
     assert mean >= 0.9
 
@@ -107,8 +113,8 @@ def _six_kernels(shots=None, seed=0):
 def test_a_permuted_grid_gives_the_same_records_per_cell(grid, trials, seed, data):
     kernels = [quantum_config("yyy", 3), rbf_config()]
     permuted = data.draw(st.permutations(grid))
-    assert (run_sweep(_CELL_DS, permuted, kernels, trials, seed).cells
-            == run_sweep(_CELL_DS, grid, kernels, trials, seed).cells)
+    assert (run_sweep(_CELL_DS, permuted, kernels, trials, seed)["cells"]
+            == run_sweep(_CELL_DS, grid, kernels, trials, seed)["cells"])
 
 
 @settings(max_examples=6, deadline=None)
@@ -117,9 +123,9 @@ def test_a_grid_split_into_two_sweeps_gives_the_whole_sweeps_cells(grid, trials,
     kernels = [quantum_config("zz", 3, shots=64), rbf_config()]
     first = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=len(grid) - 1,
                                unique=True))
-    parts = [run_sweep(_CELL_DS, part, kernels, trials, seed).cells
+    parts = [_cells(run_sweep(_CELL_DS, part, kernels, trials, seed))
              for part in (first, [point for point in grid if point not in first])]
-    assert {**parts[0], **parts[1]} == run_sweep(_CELL_DS, grid, kernels, trials, seed).cells
+    assert {**parts[0], **parts[1]} == _cells(run_sweep(_CELL_DS, grid, kernels, trials, seed))
 
 
 @settings(max_examples=6, deadline=None)
@@ -129,10 +135,10 @@ def test_a_grid_split_into_two_sweeps_gives_the_whole_sweeps_cells(grid, trials,
 def test_each_kernel_alone_gives_its_records_in_the_six_kernel_sweep(point, trials, seed,
                                                                       kernel_seed, shots):
     kernels = _six_kernels(shots, kernel_seed)
-    whole = run_sweep(_CELL_DS, [point], kernels, trials, seed).cells
+    whole = _cells(run_sweep(_CELL_DS, [point], kernels, trials, seed))
     for kernel in kernels:
-        alone = run_sweep(_CELL_DS, [point], [kernel], trials, seed).cells
-        assert alone == {key: records for key, records in whole.items() if key[2] == kernel.name}
+        alone = _cells(run_sweep(_CELL_DS, [point], [kernel], trials, seed))
+        assert alone == {key: c for key, c in whole.items() if key[2] == kernel.name}
 
 
 def test_a_cell_computed_in_a_spawned_worker_is_the_in_process_cell():
@@ -208,6 +214,24 @@ def test_grid_counts_and_trials_are_integers_of_at_least_one(configs, trials, re
         run_sweep(synthetic_dataset(1, days=80), configs, [rbf_config()], trials, master_seed=5)
 
 
+@pytest.mark.parametrize("setting, refused", [
+    ({"master_seed": True}, "master_seed must be an integer, got True"),
+    ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
+    ({"split_ratio": 1}, "split_ratio must be a number in (0, 1), got 1"),
+    ({"split_ratio": "0.5"}, "split_ratio must be a number in (0, 1), got '0.5'"),
+    ({"svm_c": True}, "C must be a finite positive number, got True"),
+    ({"svm_tol": float("nan")}, "tol must be a finite positive number, got nan"),
+], ids=["seed-true", "seed-float", "split-one", "split-string", "c-true", "tol-nan"])
+def test_sweep_settings_are_refused_before_any_cell(monkeypatch, setting, refused):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran before the settings were checked")
+
+    monkeypatch.setattr("qkslab.experiment.cell", no_cells)
+    kwargs = {"master_seed": 5, **setting}
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        run_sweep(synthetic_dataset(1, days=80), [(2, 30)], [rbf_config()], 1, **kwargs)
+
+
 # --- PTRI ---
 
 def test_ptri_flat_grid_is_zero():
@@ -260,7 +284,7 @@ def test_ptri_reference_surfaces_with_a_baseline_are_the_oracle_surfaces():
                          for t in range(trials)]
              for f in feature_axis for n in size_axis for k in ("q", "c")}
     configs = tuple(ConfigPoint(f, n) for f in feature_axis for n in size_axis)
-    sr = SweepResult(configs, {"q": {}, "c": {}}, trials, 0, 0.7, 1.0, 1e-3, cells)
+    sr = SweepResult(configs, ("q", "c"), trials, cells)
     doc = ptri(sr, ["q", "c"], "f1", "reference", "c")
     assert (doc["format"], doc["version"]) == ("qkslab-ptri", "1.0")
     assert (doc["metric"], doc["trial_selection"], doc["baseline"]) == ("f1", "reference", "c")
@@ -314,8 +338,10 @@ def test_variability_records_are_the_one_point_sweep_records(kernel):
     point = ConfigPoint(2, 30)
     doc = variability_study(ds, point, kernel, trials=3, master_seed=1, split_ratio=0.6,
                             svm_c=2.0, svm_tol=1e-4)
-    sr = run_sweep(ds, [point], [kernel], 3, 1, 0.6, 2.0, 1e-4)
-    assert doc["records"] == [asdict(r) for r in sr.records(point, kernel.name)]
+    (sweep_cell,) = run_sweep(ds, [point], [kernel], 3, 1, 0.6, 2.0, 1e-4)["cells"]
+    assert doc["records"] == sweep_cell["records"]
+    assert (doc["mean"], doc["std"]) == (sweep_cell["mean_balanced_accuracy"],
+                                         sweep_cell["std_balanced_accuracy"])
     assert (doc["features"], doc["size"], doc["kernel"]) == (2, 30, kernel.name)
 
 
@@ -341,17 +367,21 @@ def test_variability_reported_std_matches_recomputation():
 
 def test_sweep_doc_round_trip_and_aggregate_consistency(tmp_path):
     ds = synthetic_dataset(8, days=90)
-    sr = run_sweep(ds, [(2, 40), (2, 50)], [quantum_config("z", 2, 1), rbf_config()],
-                   trials=3, master_seed=9)
-    doc = sweep_to_doc(sr)
+    doc = run_sweep(ds, [(2, 50), (2, 40)], [quantum_config("z", 2, 1), rbf_config()],
+                    trials=3, master_seed=9)
+    assert [(c["features"], c["size"], c["kernel"]) for c in doc["cells"]] == [
+        (2, 40, "rbf"), (2, 40, "z"), (2, 50, "rbf"), (2, 50, "z")]  # by (F, N, kernel)
     path = tmp_path / "sweep.json"
     write_json(doc, path)
     loaded = read_json(path, {"qkslab-sweep": "1.0"})
     assert loaded == doc
     back = sweep_from_doc(loaded)
-    assert back.configs == sr.configs
-    assert back.kernel_names == sr.kernel_names
-    assert sweep_to_doc(back) == doc  # lossless, kernel descriptions included
+    assert back.configs == (ConfigPoint(2, 50), ConfigPoint(2, 40))
+    assert (back.kernel_names, back.trials) == (("z", "rbf"), 3)
+    assert len(back.cells) == len(doc["cells"])
+    for cell in loaded["cells"]:  # every record read back equals the document's
+        key = (cell["features"], cell["size"], cell["kernel"])
+        assert [asdict(r) for r in back.cells[key]] == cell["records"]
     for cell in loaded["cells"]:
         bas = [r["balanced_accuracy"] for r in cell["records"]]
         mean, std = mean_std(bas)
@@ -360,19 +390,17 @@ def test_sweep_doc_round_trip_and_aggregate_consistency(tmp_path):
 
 
 def test_result_tables(tmp_path):
-    cells = {(5, 200, "m"): [0.5, 0.6], (5, 300, "m"): [0.7, 0.8],
-             (6, 200, "m"): [0.5, 0.5], (6, 300, "m"): [0.6, 0.6]}
-    sr = _fake_sweep(cells, trials=2)
-    sweep_doc = sweep_to_doc(sr)
+    ds = synthetic_dataset(9, days=80)
+    sweep_doc = run_sweep(ds, [(f, n) for f in (2, 3) for n in (30, 40)], [rbf_config()],
+                          trials=2, master_seed=2)
     header, rows = result_table_rows(sweep_doc)
     assert header[0] == "features" and len(rows) == 8
     write_table(sweep_doc, tmp_path / "sweep.csv")
     assert (tmp_path / "sweep.csv").read_text().startswith("features,size,kernel")
 
-    header, rows = result_table_rows(ptri(sr, ["m"]))
+    header, rows = result_table_rows(ptri(sweep_from_doc(sweep_doc), ["rbf"]))
     assert len(rows) == 4
 
-    ds = synthetic_dataset(9, days=80)
     header, rows = result_table_rows(variability_study(ds, ConfigPoint(2, 30), rbf_config(),
                                                        trials=3, master_seed=2))
     assert len(rows) == 3

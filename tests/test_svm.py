@@ -38,8 +38,10 @@ def test_two_point_analytic_solution():
 
 
 @pytest.mark.parametrize("setting", [{"C": float("nan")}, {"C": float("inf")}, {"C": 0.0},
-                                     {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-3}],
-                         ids=["C-nan", "C-inf", "C-zero", "tol-nan", "tol-inf", "tol-negative"])
+                                     {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-3},
+                                     {"C": True}, {"tol": "0.1"}],
+                         ids=["C-nan", "C-inf", "C-zero", "tol-nan", "tol-inf", "tol-negative",
+                              "C-true", "tol-string"])
 def test_settings_must_be_finite_and_positive(setting):
     with pytest.raises(ValueError, match="must be a finite positive number"):
         train(_sym_gram(np.eye(2)), [1, -1], **setting)
