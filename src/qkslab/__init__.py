@@ -12,8 +12,8 @@ from .kernels import (GramMatrix, KernelConfig, gram_matrix, gram_pair, psd_clip
                       quantum_config, rbf_config)
 from .svm import SvmModel, decision_values, predict, train
 from .metrics import ConfusionMatrix, balanced_accuracy, confusion, f1
-from .data import (Dataset, RawSeries, SubsetSpec, ingest, label_direction, sample_subset,
-                   scale_split, synthetic_dataset, quantum_separable_dataset)
+from .data import (Dataset, RawSeries, ingest, label_direction, sample_subset, scale_split,
+                   synthetic_dataset, quantum_separable_dataset)
 from .experiment import (ConfigPoint, SweepResult, eqa_difference, ptri, run_sweep,
                          select_reference_trials, sweep_from_doc, variability_study)
 from .resources import ResourceEstimate, estimate, verify_against_circuit

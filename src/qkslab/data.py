@@ -285,21 +285,6 @@ def check_split_ratio(value):
     return value
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
-    size: int
-    num_features: int
-    trial_seed: int
-    split_ratio: float = DEFAULT_SPLIT_RATIO
-
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValueError("subset size must be >= 2")
-        if self.num_features < 1:
-            raise ValueError("num_features must be >= 1")
-        check_split_ratio(self.split_ratio)
-
-
 def _take(ds: Dataset, idx: np.ndarray, num_features: int) -> Dataset:
     return Dataset(
         ds.feature_names[:num_features],
@@ -310,40 +295,44 @@ def _take(ds: Dataset, idx: np.ndarray, num_features: int) -> Dataset:
     )
 
 
-def sample_subset(ds: Dataset, spec: SubsetSpec) -> tuple[Dataset, Dataset]:
-    """Draw a stratified subset and split it into train/test rows.
+def sample_subset(ds: Dataset, size: int, num_features: int, trial_seed: int,
+                  split_ratio: float = DEFAULT_SPLIT_RATIO) -> tuple[Dataset, Dataset]:
+    """Draw a stratified subset of ``size`` rows and split it into train/test rows.
 
     Sampling is without replacement, preserves the label ratio within one
     sample on both the subset and the split, keeps the first
     ``num_features`` feature columns, and is a pure function of
-    ``trial_seed``.
+    ``trial_seed``.  Every request it cannot draw is refused here: a bad
+    ``split_ratio``, more rows or features than ``ds`` holds, and a subset
+    that cannot hold two rows of each class (so ``size`` >= 4).
     """
-    if spec.size > len(ds):
-        raise ValueError(f"subset size {spec.size} exceeds dataset size {len(ds)}")
-    if spec.num_features > len(ds.feature_names):
-        raise ValueError(f"{spec.num_features} features requested, dataset has {len(ds.feature_names)}")
-    rng = np.random.default_rng(spec.trial_seed)
+    check_split_ratio(split_ratio)
+    if size > len(ds):
+        raise ValueError(f"subset size {size} exceeds dataset size {len(ds)}")
+    if not 1 <= num_features <= len(ds.feature_names):
+        raise ValueError(f"{num_features} features requested, dataset has {len(ds.feature_names)}")
+    rng = np.random.default_rng(trial_seed)
     pos = np.flatnonzero(ds.y == 1)
     neg = np.flatnonzero(ds.y == -1)
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both classes must be present to stratify")
-    n_pos = int(round(spec.size * len(pos) / len(ds)))
-    n_pos = min(max(n_pos, 2), len(pos), spec.size - 2)
-    n_neg = spec.size - n_pos
+    n_pos = int(round(size * len(pos) / len(ds)))
+    n_pos = min(max(n_pos, 2), len(pos), size - 2)
+    n_neg = size - n_pos
     if n_pos < 2 or n_neg < 2 or n_neg > len(neg):
         raise ValueError("subset too small or too imbalanced to stratify")
     pos_pick = rng.permutation(pos)[:n_pos]
     neg_pick = rng.permutation(neg)[:n_neg]
 
-    tr_pos = int(round(spec.split_ratio * n_pos))
-    tr_neg = int(round(spec.split_ratio * n_neg))
+    tr_pos = int(round(split_ratio * n_pos))
+    tr_neg = int(round(split_ratio * n_neg))
     tr_pos = min(max(tr_pos, 1), n_pos - 1)
     tr_neg = min(max(tr_neg, 1), n_neg - 1)
     train_idx = np.concatenate([pos_pick[:tr_pos], neg_pick[:tr_neg]])
     test_idx = np.concatenate([pos_pick[tr_pos:], neg_pick[tr_neg:]])
     train_idx = train_idx[rng.permutation(len(train_idx))]
     test_idx = test_idx[rng.permutation(len(test_idx))]
-    return _take(ds, train_idx, spec.num_features), _take(ds, test_idx, spec.num_features)
+    return _take(ds, train_idx, num_features), _take(ds, test_idx, num_features)
 
 
 # --- synthetic generators -------------------------------------------------------

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields as record_fields, replace
 
 import numpy as np
 
-from .data import (DEFAULT_SPLIT_RATIO, Dataset, SubsetSpec, check_split_ratio, sample_subset,
-                   scale_split)
+from .data import DEFAULT_SPLIT_RATIO, Dataset, check_split_ratio, sample_subset, scale_split
 from .documents import check_format, fields, write_csv
 from .kernels import KernelConfig, check_positive, config_to_doc, gram_pair
 from .metrics import balanced_accuracy, confusion, f1
@@ -100,8 +100,8 @@ def trial(ds: Dataset, point: ConfigPoint, t: int, master_seed: int, split_ratio
     """Trial ``t`` at ``point``: seed mix64(master_seed, F, N, t), the scaled train/test split,
     and each kernel template at F with seed mix64(kernel master, trial seed), by name."""
     trial_seed = mix64(master_seed, point.features, point.size, t)
-    subset = SubsetSpec(point.size, point.features, trial_seed, split_ratio)
-    train_ds, test_ds = scale_split(*sample_subset(ds, subset))
+    train_ds, test_ds = scale_split(*sample_subset(ds, point.size, point.features, trial_seed,
+                                                   split_ratio))
     instances = {}
     for k in kernels:
         fm = None if k.feature_map is None else replace(k.feature_map, num_features=point.features)
@@ -143,18 +143,25 @@ def _unique_grid(configs) -> tuple[ConfigPoint, ...]:
     return configs
 
 
+@contextmanager
+def _at(point: ConfigPoint, t: int):
+    """Re-raise a failure as an ``ExperimentError`` naming trial ``t`` at ``point``."""
+    try:
+        yield
+    except Exception as exc:
+        raise ExperimentError(
+            f"config (F={point.features}, N={point.size}) trial {t}: {exc}") from exc
+
+
 def cell(ds: Dataset, point: ConfigPoint, t: int, master_seed: int, split_ratio: float, kernels,
          svm_c: float, svm_tol: float) -> dict[str, TrialRecord]:
     """Every kernel's record of trial ``t`` at ``point``, by name, scored on one shared split:
     a pure function of its arguments, so a sweep's cells may run in any order or process."""
-    try:
+    with _at(point, t):
         trial_seed, train_ds, test_ds, trial_kernels = trial(ds, point, t, master_seed,
                                                              split_ratio, kernels)
         fingerprint = _subset_fingerprint(train_ds, test_ds)
         scores = evaluate_kernels_on_subset(train_ds, test_ds, trial_kernels, svm_c, svm_tol)
-    except Exception as exc:
-        raise ExperimentError(
-            f"config (F={point.features}, N={point.size}) trial {t}: {exc}") from exc
     return {name: TrialRecord(t, trial_seed, *values, fingerprint)
             for name, values in scores.items()}
 
@@ -178,6 +185,9 @@ def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
     settings = _settings(master_seed, split_ratio, svm_c, svm_tol)
     if len({k.name for k in kernels}) != len(kernels):
         raise ValueError("kernel names must be unique")
+    for point in configs:  # a point whose trials cannot be drawn fails before any cell runs
+        with _at(point, 0):
+            trial(ds, point, 0, master_seed, split_ratio, kernels)
     cells = []
     for point in configs:
         records = [cell(ds, point, t, master_seed, split_ratio, kernels, svm_c, svm_tol)
@@ -308,11 +318,14 @@ def sweep_from_doc(doc: dict, where="document") -> SweepResult:
     check_format(doc, {SWEEP_FORMAT: RESULT_VERSION}, where)
     with fields(where):
         _settings(doc["master_seed"], doc["split_ratio"], doc["svm"]["C"], doc["svm"]["tol"])
-        cells: dict[tuple[int, int, str], list[TrialRecord]] = {}
+        if not all(isinstance(k, dict) and isinstance(k.get("name"), str) and k["name"]
+                   for k in doc["kernels"]):
+            raise ValueError("each kernel entry must be an object with a non-empty string name")
         kernel_names = tuple(k["name"] for k in doc["kernels"])
         if len(set(kernel_names)) != len(kernel_names):
             raise ValueError("kernel names must be unique")
         configs, trials = _unique_grid(doc["configs"]), _count("trials", doc["trials"])
+        cells: dict[tuple[int, int, str], list[TrialRecord]] = {}
         for cell in doc["cells"]:
             key = (_count("F", cell["features"]), _count("N", cell["size"]), cell["kernel"])
             held = [r["trial"] for r in cell["records"]]

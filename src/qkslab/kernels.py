@@ -87,20 +87,14 @@ def rbf_config(gamma: float | None = None, master_seed: int = 0) -> KernelConfig
     return KernelConfig(None, gamma, None, master_seed, "rbf")
 
 
-def rbf_gamma_scale(train_x: np.ndarray) -> float:
-    """Default gamma 1/(F * pooled feature variance); 1.0 for degenerate data."""
+def resolve_gamma(config: KernelConfig, train_x: np.ndarray) -> KernelConfig:
+    """Fill an unset rbf gamma from the training split, 1/(F * pooled feature variance) or 1.0
+    for degenerate data; no-op otherwise."""
+    if config.kind != "rbf" or config.gamma is not None:
+        return config
     train_x = np.asarray(train_x, dtype=np.float64)
     var = float(train_x.var())
-    if var <= 0.0:
-        return 1.0
-    return 1.0 / (train_x.shape[1] * var)
-
-
-def resolve_gamma(config: KernelConfig, train_x: np.ndarray) -> KernelConfig:
-    """Fill an unset rbf gamma from the training split; no-op otherwise."""
-    if config.kind == "rbf" and config.gamma is None:
-        return replace(config, gamma=rbf_gamma_scale(train_x))
-    return config
+    return replace(config, gamma=1.0 if var <= 0.0 else 1.0 / (train_x.shape[1] * var))
 
 
 @dataclass(frozen=True, eq=False)

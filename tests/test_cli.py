@@ -13,7 +13,7 @@ import pytest
 
 from qkslab import __version__, experiment
 from qkslab.cli import build_parser, main
-from qkslab.data import DEFAULT_SPLIT_RATIO, SubsetSpec
+from qkslab.data import DEFAULT_SPLIT_RATIO, sample_subset
 from qkslab.documents import read_json
 from qkslab.experiment import DEFAULT_BINS, METRICS, TrialRecord, run_sweep, variability_study
 from qkslab.feature_maps import DEFAULT_REPETITIONS
@@ -286,6 +286,26 @@ def test_trial_failures_are_errors_with_their_coordinates(dataset, tmp_path, cap
     assert ") trial 0: " in err
 
 
+@pytest.mark.parametrize("grid, refused", [
+    (["--sizes", "30,3", "--features", "2", "--kernels", "rbf"], "config (F=2, N=3) trial 0: "),
+    (["--sizes", "30,5000", "--features", "2", "--kernels", "rbf"],
+     "config (F=2, N=5000) trial 0: subset size 5000 exceeds dataset size "),
+    (["--sizes", "30", "--features", "2,1", "--kernels", "zz"], "config (F=1, N=30) trial 0: "),
+], ids=["size-too-small", "size-above-the-row-count", "pair-layer-map-at-one-feature"])
+def test_an_undrawable_grid_point_fails_before_any_operation(dataset, tmp_path, capsys, monkeypatch,
+                                                           grid, refused):
+    def no_operations(*args, **kwargs):
+        raise AssertionError("the sweep ran an operation before refusing a grid point")
+
+    monkeypatch.setattr(experiment, "evaluate_kernels_on_subset", no_operations)
+    out = tmp_path / "sweep.json"
+    code, _, err = _run(["sweep", "--dataset", str(dataset), *grid, "--trials", "1",
+                         "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {refused}")
+    assert not out.exists()
+
+
 def test_variability_command(dataset, tmp_path, capsys):
     out = tmp_path / "var.json"
     code, text, err = _run(["variability", "--dataset", str(dataset), "--size", "30",
@@ -409,6 +429,11 @@ def _dataset_doc(value, label=-1) -> dict:
     ("ptri", {**_SWEEP_DOC, "split_ratio": 1.5, "cells": [_cell("rbf")]}),
     ("ptri", {**_SWEEP_DOC, "svm": {"C": -1, "tol": 0.001}, "cells": [_cell("rbf")]}),
     ("ptri", {**_SWEEP_DOC, "svm": {"C": 1.0, "tol": None}, "cells": [_cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "kernels": [{"name": 5, "kind": "banana"}, {"name": "rbf"}],
+              "cells": [_cell(5), _cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "kernels": [{"name": ""}, {"name": "rbf"}],
+              "cells": [_cell(""), _cell("rbf")]}),
+    ("ptri", {**_SWEEP_DOC, "kernels": ["rbf"], "cells": [_cell("rbf")]}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
     ("report", {**_SWEEP_DOC, "cells": [_cell("rbf", score=float("nan"))]}),
     ("ptri", {**_SWEEP_DOC, "cells": [_cell("rbf", score="0.5")]}),
@@ -441,6 +466,7 @@ def _dataset_doc(value, label=-1) -> dict:
         "grid-feature-count-zero", "grid-size-float", "trials-true", "cell-feature-count-float",
         "cell-feature-count-true", "master-seed-string", "master-seed-true",
         "split-ratio-string", "split-ratio-one-and-a-half", "svm-c-negative", "svm-tol-null",
+        "kernel-name-not-a-string", "kernel-name-empty", "kernel-entry-not-an-object",
         "ptri-nan-score", "report-nan-score", "ptri-string-score", "ptri-score-above-one",
         "ptri-bool-score", "report-string-score", "report-score-above-one", "report-bool-score",
         "ptri-on-a-ptri-file", "ptri-on-a-variability-file",
@@ -772,7 +798,7 @@ def test_cli_and_library_defaults_are_the_protocol_constants():
     assert _signature_defaults(variability_study)["bins"] == DEFAULT_BINS
     assert (_signature_defaults(train)["C"], _signature_defaults(train)["tol"]) == (
         DEFAULT_C, DEFAULT_TOL)
-    assert _signature_defaults(SubsetSpec)["split_ratio"] == DEFAULT_SPLIT_RATIO
+    assert _signature_defaults(sample_subset)["split_ratio"] == DEFAULT_SPLIT_RATIO
     assert _signature_defaults(quantum_config)["repetitions"] == DEFAULT_REPETITIONS
 
 

@@ -7,10 +7,9 @@ from math import pi
 import numpy as np
 import pytest
 
-from qkslab.data import (DEFAULT_FEATURES, Dataset, ParseError, RawSeries,
-                         SubsetSpec, ingest, label_direction, quantum_separable_dataset,
-                         read_dataset, sample_subset, scale_split, synthetic_dataset,
-                         synthetic_raw_series, write_dataset)
+from qkslab.data import (DEFAULT_FEATURES, Dataset, ParseError, RawSeries, ingest,
+                         label_direction, quantum_separable_dataset, read_dataset, sample_subset,
+                         scale_split, synthetic_dataset, synthetic_raw_series, write_dataset)
 from qkslab.documents import write_json
 
 from synthetic_csvs import write_synthetic_csvs
@@ -300,11 +299,11 @@ def test_scale_split_refuses_an_empty_training_split():
 
 def test_scaling_never_sees_the_test_split():
     ds = synthetic_dataset(1, days=80)
-    train, test = sample_subset(ds, SubsetSpec(60, 4, 99))
+    train, test = sample_subset(ds, 60, 4, 99)
     strain, stest = scale_split(train, test)
     lo, hi = train.X.min(axis=0), train.X.max(axis=0)
     np.testing.assert_array_equal(stest.X, np.clip((test.X - lo) / (hi - lo) * pi, 0.0, pi))
-    other, _ = scale_split(train, sample_subset(ds, SubsetSpec(60, 4, 5))[1])
+    other, _ = scale_split(train, sample_subset(ds, 60, 4, 5)[1])
     np.testing.assert_array_equal(strain.X, other.X)  # the training split alone sets the range
     assert strain.X.min() >= 0.0 and strain.X.max() <= pi
     assert stest.X.min() >= 0.0 and stest.X.max() <= pi  # clamped
@@ -315,22 +314,21 @@ def test_scaling_never_sees_the_test_split():
 
 def test_full_size_subset_is_a_permutation():
     ds = synthetic_dataset(2, days=60)
-    train, test = sample_subset(ds, SubsetSpec(len(ds), len(ds.feature_names), 7))
+    train, test = sample_subset(ds, len(ds), len(ds.feature_names), 7)
     assert sorted(train.ids + test.ids) == sorted(ds.ids)
 
 
 def test_subset_determinism():
     ds = synthetic_dataset(3, days=100)
-    spec = SubsetSpec(50, 5, 1234)
-    a = sample_subset(ds, spec)
-    b = sample_subset(ds, spec)
+    a = sample_subset(ds, 50, 5, 1234)
+    b = sample_subset(ds, 50, 5, 1234)
     assert a[0].ids == b[0].ids and a[1].ids == b[1].ids
     assert np.array_equal(a[0].X, b[0].X)
 
 
 def test_subset_takes_first_features():
     ds = synthetic_dataset(4, days=80)
-    train, _ = sample_subset(ds, SubsetSpec(40, 3, 5))
+    train, _ = sample_subset(ds, 40, 3, 5)
     assert train.feature_names == ds.feature_names[:3]
     assert train.X.shape[1] == 3
 
@@ -343,7 +341,7 @@ def test_stratification_preserves_label_ratio():
                  tuple(date(2019, 1, 1) for _ in range(n)),
                  rng.uniform(0, 1, (n, 2)), labels)
     for trial in range(100):
-        train, test = sample_subset(ds, SubsetSpec(200, 2, trial))
+        train, test = sample_subset(ds, 200, 2, trial)
         frac = float(np.mean(train.y == 1))
         assert abs(frac - 0.55) <= 0.02
         assert set(np.unique(train.y)) == {-1, 1}
@@ -353,16 +351,16 @@ def test_stratification_preserves_label_ratio():
 def test_subset_validation():
     ds = synthetic_dataset(5, days=40)
     with pytest.raises(ValueError):
-        sample_subset(ds, SubsetSpec(10_000, 2, 1))
+        sample_subset(ds, 10_000, 2, 1)
     with pytest.raises(ValueError):
-        sample_subset(ds, SubsetSpec(20, 99, 1))
+        sample_subset(ds, 20, 99, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # single-class dataset warns at construction
         single = Dataset(("a",), ("r0", "r1", "r2", "r3"),
                          tuple(date(2019, 1, 1) for _ in range(4)),
                          np.zeros((4, 1)), np.array([1, 1, 1, 1]))
         with pytest.raises(ValueError):
-            sample_subset(single, SubsetSpec(4, 1, 1))
+            sample_subset(single, 4, 1, 1)
 
 
 # --- generators and files ---
@@ -405,7 +403,7 @@ def test_quantum_separable_dataset_properties():
 
 def test_dataset_file_round_trip(tmp_path):
     ds = synthetic_dataset(23, days=40)
-    train, test = sample_subset(ds, SubsetSpec(30, 4, 3))
+    train, test = sample_subset(ds, 30, 4, 3)
     strain, _ = scale_split(train, test)
     path = tmp_path / "ds.json"
     write_dataset(strain, path)

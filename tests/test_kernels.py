@@ -13,8 +13,7 @@ from qkslab import kernels
 from qkslab.documents import read_json
 from qkslab.feature_maps import PRESETS, FeatureMapSpec, build_feature_map
 from qkslab.kernels import (GramMatrix, KernelConfig, config_to_doc, gram_matrix, gram_pair,
-                            psd_clip, quantum_config, rbf_config, resolve_gamma, rbf_gamma_scale,
-                            write_gram)
+                            psd_clip, quantum_config, rbf_config, resolve_gamma, write_gram)
 from qkslab.seeding import mix64
 from qkslab.simulator import simulate
 
@@ -36,6 +35,19 @@ def test_z_single_feature_closed_form():
         for y in np.linspace(0, pi, 5):
             assert kernel_entry(spec, [x], [y]) == pytest.approx(cos(y - x) ** 2, abs=1e-9)
             assert gram_matrix([[x]], [[y]], cfg).values[0, 0] == pytest.approx(cos(y - x) ** 2, abs=1e-9)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_statevector_stack_is_the_per_gate_simulation(preset):
+    rng = np.random.default_rng(31)
+    lowest = 2 if any(len(layer) == 2 for layer in PRESETS[preset]) else 1
+    for features, reps in product(range(lowest, 9), (1, 2, 3)):
+        spec = FeatureMapSpec(PRESETS[preset], features, reps)
+        X = rng.uniform(0, pi, size=(3, features))
+        stack = kernels._statevector_stack(spec, X)
+        oracle = np.stack([simulate(build_feature_map(spec, x)).amplitudes for x in X])
+        assert np.abs(stack - oracle).max() <= 1e-12, (features, reps)
+        assert np.abs(np.linalg.norm(stack, axis=1) - 1.0).max() <= 1e-12, (features, reps)
 
 
 def test_gram_trivial_cases():
@@ -180,16 +192,16 @@ def test_shots_mode_clips_by_default():
 
 def test_gamma_resolution():
     X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-    assert rbf_gamma_scale(X) == pytest.approx(1.0 / (2 * X.var()))
-    assert rbf_gamma_scale(np.ones((3, 2))) == 1.0
     cfg = resolve_gamma(rbf_config(), X)
     assert cfg.gamma == pytest.approx(1.0 / (2 * X.var()))
+    assert resolve_gamma(rbf_config(), np.ones((3, 2))).gamma == 1.0
 
 
 def test_an_unset_gamma_is_resolved_from_the_train_split():
     rng = np.random.default_rng(15)
     train, test = rng.normal(size=(6, 3)), rng.normal(2.0, 3.0, size=(4, 3))
-    unset, preset = rbf_config(master_seed=4), rbf_config(rbf_gamma_scale(train), master_seed=4)
+    unset = rbf_config(master_seed=4)
+    preset = rbf_config(1.0 / (train.shape[1] * train.var()), master_seed=4)
 
     def same(got, want):
         assert np.array_equal(got.values, want.values)
