@@ -6,7 +6,7 @@ data pipeline, reproducible experiment sweeps with ruggedness (PTRI)
 scoring, and closed-form circuit resource estimation.
 """
 from .circuits import Circuit, Gate, GateKind, dag_depth
-from .feature_maps import PRESETS, FeatureMapSpec, build_feature_map, data_map_pair, data_map_single
+from .feature_maps import PRESETS, FeatureMapSpec, build_feature_map
 from .simulator import Statevector, sample_zero_count, simulate
 from .kernels import (GramMatrix, KernelConfig, gram_matrix, gram_pair, psd_clip,
                       quantum_config, rbf_config)
@@ -16,6 +16,6 @@ from .data import (Dataset, RawSeries, ingest, label_direction, sample_subset, s
                    synthetic_dataset, quantum_separable_dataset)
 from .experiment import (ConfigPoint, SweepResult, eqa_difference, ptri, run_sweep,
                          select_reference_trials, sweep_from_doc, variability_study)
-from .resources import ResourceEstimate, estimate, verify_against_circuit
+from .resources import ResourceEstimate, estimate
 
 __version__ = "0.6.0"

@@ -61,28 +61,12 @@ class FeatureMapSpec:
         return FeatureMapSpec(layers, num_features, repetitions)
 
 
-def data_map_single(x: np.ndarray, j: int) -> float:
-    """Phase angle of the single-qubit term on qubit j: 2*x[j]."""
-    x = np.asarray(x, dtype=np.float64)
-    if not 0 <= j < x.shape[0]:
-        raise IndexError(f"qubit index {j} out of range for {x.shape[0]} features")
-    return 2.0 * float(x[j])
-
-
-def data_map_pair(x: np.ndarray, j: int, k: int) -> float:
-    """Phase angle of the pair term on qubits (j, k): 2*(pi-x[j])*(pi-x[k])."""
-    x = np.asarray(x, dtype=np.float64)
-    if not 0 <= j < x.shape[0] or not 0 <= k < x.shape[0]:
-        raise IndexError(f"qubit pair ({j}, {k}) out of range for {x.shape[0]} features")
-    if j >= k:
-        raise ValueError(f"pair indices must satisfy j < k, got ({j}, {k})")
-    return 2.0 * (pi - float(x[j])) * (pi - float(x[k]))
-
-
 def _blocks(spec: FeatureMapSpec, x: np.ndarray):
     """The map's gate blocks in circuit order: per repetition the Hadamard
     wall, each single-qubit layer whole, and each adjacent pair of a pair layer."""
     n = spec.num_features
+    single = (2.0 * x).tolist()  # phase of qubit j
+    pair = (2.0 * (pi - x[:-1]) * (pi - x[1:])).tolist()  # phase of pair (j, j + 1)
     for _ in range(spec.repetitions):
         yield [h(q) for q in range(n)]
         for layer in spec.pauli_layers:
@@ -90,7 +74,7 @@ def _blocks(spec: FeatureMapSpec, x: np.ndarray):
             if len(layer) == 1:
                 block: list[Gate] = []
                 for q in range(n):
-                    phase = p(data_map_single(x, q), q)
+                    phase = p(single[q], q)
                     block.extend((rx(pi / 2, q), phase, rx(-pi / 2, q)) if y_basis else (phase,))
                 yield block
             else:
@@ -98,7 +82,7 @@ def _blocks(spec: FeatureMapSpec, x: np.ndarray):
                     k = j + 1
                     into_y = [rx(pi / 2, j), rx(pi / 2, k)] if y_basis else []
                     out_of_y = [rx(-pi / 2, j), rx(-pi / 2, k)] if y_basis else []
-                    yield [*into_y, cx(j, k), p(data_map_pair(x, j, k), k), cx(j, k), *out_of_y]
+                    yield [*into_y, cx(j, k), p(pair[j], k), cx(j, k), *out_of_y]
 
 
 def sequential_depth(spec: FeatureMapSpec) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 from .documents import write_json
 from .feature_maps import DEFAULT_REPETITIONS, FeatureMapSpec, build_feature_map
 from .seeding import mix64
-from .simulator import sample_zero_count, simulate
+from .simulator import check_width, sample_zero_count, simulate
 
 SHOT_CAP = 1024
 _PSD_TOL = 1e-8
@@ -61,8 +61,10 @@ class KernelConfig:
         return "exact" if self.shots is None else "shots"
 
     def __post_init__(self) -> None:
-        if self.feature_map is not None and self.gamma is not None:
-            raise ValueError("gamma applies to the rbf kernel only")
+        if self.feature_map is not None:
+            if self.gamma is not None:
+                raise ValueError("gamma applies to the rbf kernel only")
+            check_width(self.feature_map.num_features)  # a map the simulator cannot run
         if self.feature_map is None and self.shots is not None:
             raise ValueError("rbf kernel supports exact mode only")
         if self.gamma is not None:

@@ -66,32 +66,18 @@ def measure(features: int, repetitions: int) -> tuple[ResourceEstimate, int]:
     return measured, dag_depth(circuit)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    formula: ResourceEstimate
-    measured: ResourceEstimate
-    dag_depth: int
-    match: bool
-
-
-def verify_against_circuit(features: int, repetitions: int) -> VerificationReport:
-    """Compare the derived forms against a circuit built at (features, repetitions)."""
-    formula = estimate(features, repetitions)
-    measured, graph_depth = measure(features, repetitions)
-    return VerificationReport(formula, measured, graph_depth, formula == measured)
-
-
 TABLE_HEADER = ("features", "repetitions", "qubits", "h", "rx", "p", "cx",
                 "total", "depth", "dag_depth", "match")
 
 
 def verification_table(feature_counts, repetition_counts) -> list[tuple]:
-    """One row per (F, R): the formula values plus the circuit-check verdict."""
+    """One row per (F, R): the formula values, the built circuit's dag depth, and whether
+    the formula equals that circuit's tally."""
     rows = []
     for f in feature_counts:
         for r in repetition_counts:
-            report = verify_against_circuit(f, r)
-            est = report.formula
+            est = estimate(f, r)
+            measured, graph_depth = measure(f, r)
             rows.append((f, r, est.qubits, est.h, est.rx, est.p, est.cx,
-                         est.total, est.depth, report.dag_depth, report.match))
+                         est.total, est.depth, graph_depth, est == measured))
     return rows

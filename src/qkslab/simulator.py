@@ -67,11 +67,16 @@ def _apply_inplace(state: np.ndarray, gate: Gate, num_qubits: int) -> None:
         t[hi] = tmp
 
 
+def check_width(num_qubits: int) -> None:
+    """Refuse a register wider than the dense simulator holds."""
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(f"{num_qubits} qubits exceeds the dense limit of {MAX_QUBITS}")
+
+
 def simulate(circuit: Circuit) -> Statevector:
     """Run the circuit on |0...0> and return the final state."""
     n = circuit.num_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the dense limit of {MAX_QUBITS}")
+    check_width(n)
     state = np.zeros(2**n, dtype=np.complex128)
     state[0] = 1.0
     for gate in circuit.gates:

@@ -22,7 +22,7 @@ from qkslab.experiment import (ConfigPoint, eqa_difference, mean_std, ptri, ptri
 from qkslab.feature_maps import PRESETS, FeatureMapSpec
 from qkslab.kernels import GramMatrix, gram_matrix, quantum_config, rbf_config
 from qkslab.metrics import ConfusionMatrix, balanced_accuracy, confusion, f1
-from qkslab.resources import verify_against_circuit
+from qkslab.resources import estimate, measure
 from qkslab.simulator import simulate
 from qkslab.svm import train
 
@@ -52,11 +52,11 @@ def test_resource_formula_reproduction():
     start = time.perf_counter()
     for features in range(2, 11):
         for reps in range(1, 4):
-            report = verify_against_circuit(features, reps)
-            assert report.match, (features, reps)
-            assert report.measured.qubits == features
-    four = verify_against_circuit(4, 1)
-    assert four.formula.total == 37 and four.formula.depth == 19
+            measured = measure(features, reps)[0]
+            assert estimate(features, reps) == measured, (features, reps)
+            assert measured.qubits == features
+    four = estimate(4, 1)
+    assert four.total == 37 and four.depth == 19
     assert time.perf_counter() - start < 1.0
 
 

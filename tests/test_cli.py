@@ -6,6 +6,7 @@ import inspect
 import json
 import shlex
 import time
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from qkslab import __version__, experiment
 from qkslab.cli import build_parser, main
-from qkslab.data import DEFAULT_SPLIT_RATIO, sample_subset
+from qkslab.data import DEFAULT_SPLIT_RATIO, Dataset, sample_subset, write_dataset
 from qkslab.documents import read_json
 from qkslab.experiment import DEFAULT_BINS, METRICS, TrialRecord, run_sweep, variability_study
 from qkslab.feature_maps import DEFAULT_REPETITIONS
@@ -286,21 +287,37 @@ def test_trial_failures_are_errors_with_their_coordinates(dataset, tmp_path, cap
     assert ") trial 0: " in err
 
 
-@pytest.mark.parametrize("grid, refused", [
-    (["--sizes", "30,3", "--features", "2", "--kernels", "rbf"], "config (F=2, N=3) trial 0: "),
-    (["--sizes", "30,5000", "--features", "2", "--kernels", "rbf"],
+@pytest.fixture()
+def wide_dataset(tmp_path):
+    """18 feature columns: room for a map wider than the simulator's 16 qubits."""
+    rng, rows = np.random.default_rng(3), 80
+    path = tmp_path / "wide.json"
+    write_dataset(Dataset(tuple(f"x{j}" for j in range(18)), tuple(f"r{i}" for i in range(rows)),
+                          tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(rows)),
+                          rng.uniform(0.0, 1.0, (rows, 18)), np.resize([1, -1], rows)), path)
+    return path
+
+
+@pytest.mark.parametrize("source, grid, refused", [
+    ("dataset", ["--sizes", "30,3", "--features", "2", "--kernels", "rbf"],
+     "config (F=2, N=3) trial 0: "),
+    ("dataset", ["--sizes", "30,5000", "--features", "2", "--kernels", "rbf"],
      "config (F=2, N=5000) trial 0: subset size 5000 exceeds dataset size "),
-    (["--sizes", "30", "--features", "2,1", "--kernels", "zz"], "config (F=1, N=30) trial 0: "),
-], ids=["size-too-small", "size-above-the-row-count", "pair-layer-map-at-one-feature"])
-def test_an_undrawable_grid_point_fails_before_any_operation(dataset, tmp_path, capsys, monkeypatch,
-                                                           grid, refused):
+    ("dataset", ["--sizes", "30", "--features", "2,1", "--kernels", "zz"],
+     "config (F=1, N=30) trial 0: "),
+    ("wide_dataset", ["--sizes", "30", "--features", "2,17", "--kernels", "z"],
+     "config (F=17, N=30) trial 0: 17 qubits exceeds the dense limit of 16"),
+], ids=["size-too-small", "size-above-the-row-count", "pair-layer-map-at-one-feature",
+        "map-wider-than-the-simulator"])
+def test_an_undrawable_grid_point_fails_before_any_operation(request, tmp_path, capsys, monkeypatch,
+                                                           source, grid, refused):
     def no_operations(*args, **kwargs):
         raise AssertionError("the sweep ran an operation before refusing a grid point")
 
     monkeypatch.setattr(experiment, "evaluate_kernels_on_subset", no_operations)
     out = tmp_path / "sweep.json"
-    code, _, err = _run(["sweep", "--dataset", str(dataset), *grid, "--trials", "1",
-                         "--out", str(out)], capsys)
+    code, _, err = _run(["sweep", "--dataset", str(request.getfixturevalue(source)), *grid,
+                         "--trials", "1", "--out", str(out)], capsys)
     assert code == 1
     assert err.startswith(f"error: {refused}")
     assert not out.exists()

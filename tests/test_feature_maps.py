@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkslab.circuits import Circuit, GateKind, dag_depth
-from qkslab.feature_maps import (PRESETS, FeatureMapSpec, build_feature_map, data_map_pair,
-                                 data_map_single, sequential_depth)
+from qkslab.feature_maps import PRESETS, FeatureMapSpec, build_feature_map, sequential_depth
 from qkslab.simulator import simulate
 
 from oracles import inverse
@@ -19,28 +18,42 @@ def _counts(circuit) -> Counter:
     return Counter(g.kind for g in circuit.gates)
 
 
-# --- data maps ---
+# --- phase angles ---
+
+def _phases(preset: str, x, reps: int = 1) -> list[tuple[float, int]]:
+    """(angle, qubit) of each P gate of the built map, in circuit order."""
+    c = build_feature_map(FeatureMapSpec.from_preset(preset, len(x), reps), np.array(x))
+    return [(g.angle, g.qubits[0]) for g in c.gates if g.kind is GateKind.P]
+
 
 def test_single_angle_examples():
-    assert data_map_single(np.array([0.7, 0.1]), 0) == pytest.approx(1.4)
-    assert data_map_single(np.array([0.0, 2.0]), 0) == 0.0
-    assert data_map_single(np.array([pi, 0.3]), 1) == pytest.approx(0.6)
+    assert _phases("z", [0.7, 0.1]) == [(pytest.approx(1.4), 0), (pytest.approx(0.2), 1)]
+    assert _phases("z", [0.0, 2.0]) == [(0.0, 0), (4.0, 1)]
+    assert _phases("z", [pi, 0.3]) == [(pytest.approx(2 * pi), 0), (pytest.approx(0.6), 1)]
 
 
 def test_pair_angle_examples():
-    assert data_map_pair(np.array([0.0, 0.0]), 0, 1) == pytest.approx(2 * pi**2)
-    assert data_map_pair(np.array([pi, 1.0]), 0, 1) == pytest.approx(0.0)
+    # the pair phase sits on the pair's second qubit
+    assert _phases("zz", [0.0, 0.0]) == [(pytest.approx(2 * pi**2), 1)]
+    assert _phases("zz", [pi, 1.0]) == [(pytest.approx(0.0), 1)]
     # independent one-line evaluation of 2*(pi-1)*(pi-2)
-    assert data_map_pair(np.array([1.0, 2.0]), 0, 1) == pytest.approx(2 * (pi - 1) * (pi - 2))
+    assert _phases("zz", [1.0, 2.0]) == [(pytest.approx(2 * (pi - 1) * (pi - 2)), 1)]
 
 
-def test_data_map_errors():
-    with pytest.raises(IndexError):
-        data_map_single(np.array([1.0]), 1)
-    with pytest.raises(IndexError):
-        data_map_pair(np.array([1.0, 2.0]), 0, 2)
-    with pytest.raises(ValueError):
-        data_map_pair(np.array([1.0, 2.0]), 1, 0)
+@settings(max_examples=60, deadline=None)
+@given(preset=st.sampled_from(sorted(PRESETS)), reps=st.integers(1, 3), data=st.data())
+def test_phase_angles_follow_the_map_formulas_in_circuit_order(preset, reps, data):
+    lo = 1 if all(len(layer) == 1 for layer in PRESETS[preset]) else 2
+    f = data.draw(st.integers(lo, 8))
+    x = data.draw(st.lists(st.floats(-2 * pi, 2 * pi), min_size=f, max_size=f))
+    expected = []
+    for _ in range(reps):
+        for layer in PRESETS[preset]:
+            if len(layer) == 1:
+                expected += [(2 * x[j], j) for j in range(f)]
+            else:
+                expected += [(2 * (pi - x[j]) * (pi - x[j + 1]), j + 1) for j in range(f - 1)]
+    assert _phases(preset, x, reps) == expected  # bit for bit, as Python scalars
 
 
 # --- construction ---

@@ -297,6 +297,9 @@ def test_config_validation():
         KernelConfig(None, 1.0, 100, name="rbf")  # rbf in shots mode
     with pytest.raises(ValueError):
         KernelConfig(None, 1.0)  # unnamed
+    assert quantum_config("z", 16, 1).feature_map.num_features == 16
+    with pytest.raises(ValueError, match="^17 qubits exceeds the dense limit of 16$"):
+        quantum_config("z", 17, 1)  # a map the simulator cannot run
     rbf, exact = rbf_config(gamma=1.0), quantum_config("yyy", 2, 1)
     shots = quantum_config("yyy", 2, 1, shots=100)
     assert (rbf.kind, rbf.mode) == ("rbf", "exact")

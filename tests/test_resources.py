@@ -1,10 +1,11 @@
 """Tests for the closed-form resource model and its circuit verification."""
+from dataclasses import replace
+
 import pytest
 
-from qkslab import feature_maps
+from qkslab import feature_maps, resources
 from qkslab.circuits import GateKind, h
-from qkslab.resources import (ResourceEstimate, TABLE_HEADER, estimate, measure,
-                              verification_table, verify_against_circuit)
+from qkslab.resources import ResourceEstimate, TABLE_HEADER, estimate, measure, verification_table
 
 
 def test_closed_forms_at_f4_r1():
@@ -43,18 +44,16 @@ def test_argument_validation():
 
 
 def test_verification_matches_at_f2_r1():
-    report = verify_against_circuit(2, 1)
-    assert report.match
-    assert report.measured.total == 15
-    assert report.measured.depth == 9
+    measured = measure(2, 1)[0]
+    assert estimate(2, 1) == measured
+    assert measured.total == 15
+    assert measured.depth == 9
 
 
 @pytest.mark.parametrize("features", range(2, 11))
 @pytest.mark.parametrize("reps", range(1, 4))
 def test_verification_sweep(features, reps):
-    report = verify_against_circuit(features, reps)
-    assert report.match
-    assert report.formula == report.measured
+    assert estimate(features, reps) == measure(features, reps)[0]
 
 
 def test_estimate_follows_the_builder(monkeypatch):
@@ -68,9 +67,9 @@ def test_estimate_follows_the_builder(monkeypatch):
 
     monkeypatch.setattr(feature_maps, "_blocks", with_extra_hadamard)
     for features, reps in ((2, 1), (4, 2), (7, 3)):
-        report = verify_against_circuit(features, reps)
-        assert report.match
-        assert report.formula.h == (features + 1) * reps
+        est = estimate(features, reps)
+        assert est == measure(features, reps)[0]
+        assert est.h == (features + 1) * reps
 
 
 def test_linearity_in_repetitions_of_measured_circuits():
@@ -85,3 +84,11 @@ def test_table_rows():
     assert len(rows) == 4
     assert len(rows[0]) == len(TABLE_HEADER)
     assert all(row[-1] for row in rows)  # every point verifies
+    est, graph_depth = estimate(4, 2), measure(4, 2)[1]
+    assert rows[-1] == (4, 2, est.qubits, est.h, est.rx, est.p, est.cx, est.total, est.depth,
+                        graph_depth, True)
+
+
+def test_table_reports_a_mismatch(monkeypatch):
+    monkeypatch.setattr(resources, "estimate", lambda f, r: replace(estimate(f, r), depth=0))
+    assert [row[-1] for row in resources.verification_table([3], [1, 2])] == [False, False]
