@@ -28,7 +28,7 @@ from math import pi
 
 import numpy as np
 
-from .documents import fields, read_json, write_json
+from .documents import check_between, check_int, fields, read_json, write_json
 from .kernels import gram_matrix, quantum_config
 from .metrics import check_labels
 from .seeding import mix64
@@ -278,13 +278,6 @@ def scale_split(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
 
 # --- subset sampling -----------------------------------------------------------
 
-def check_split_ratio(value):
-    """``value`` if it is a number in (0, 1) (a bool is not one): the train share of a subset."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < 1:
-        raise ValueError(f"split_ratio must be a number in (0, 1), got {value!r}")
-    return value
-
-
 def _take(ds: Dataset, idx: np.ndarray, num_features: int) -> Dataset:
     return Dataset(
         ds.feature_names[:num_features],
@@ -306,7 +299,7 @@ def sample_subset(ds: Dataset, size: int, num_features: int, trial_seed: int,
     ``split_ratio``, more rows or features than ``ds`` holds, and a subset
     that cannot hold two rows of each class (so ``size`` >= 4).
     """
-    check_split_ratio(split_ratio)
+    check_between("split_ratio", split_ratio, 0, 1)
     if size > len(ds):
         raise ValueError(f"subset size {size} exceeds dataset size {len(ds)}")
     if not 1 <= num_features <= len(ds.feature_names):
@@ -349,8 +342,7 @@ def _weekdays(start: date, count: int) -> list[date]:
 
 def synthetic_raw_series(seed: int, days: int = DEFAULT_DAYS) -> RawSeries:
     """Geometric random-walk index with a correlated gold series."""
-    if days < 2:
-        raise ValueError("need at least two days")
+    check_int("days", days, 2)
     rng = np.random.default_rng(mix64(seed, 0x53594E))
     z = rng.standard_normal(days + 1)
     w = rng.standard_normal(days + 1)
@@ -389,13 +381,12 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7)
 
     Labels come from the sign of a signed sum of fidelity-kernel bumps
     around 24 random anchor points, thresholded at its median, over the first
-    5 features; extra features are jittered copies of the first ones, so
+    5 features; extra feature k is a jittered copy of feature k mod 5, so
     ``num_features`` is at least 5.  The phase-periodic structure means
     Euclidean-distance kernels see little usable geometry.  Rows with the
     weakest margin are discarded to keep the classes crisp.
     """
-    if num_features < _INFORMATIVE:
-        raise ValueError(f"num_features must be >= {_INFORMATIVE}")
+    check_int("num_features", num_features, _INFORMATIVE)
     if rows % 2:
         rows += 1
     rng = np.random.default_rng(mix64(seed, 0x515345))
@@ -415,8 +406,8 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7)
     X = np.empty((rows, num_features))
     X[:, :_INFORMATIVE] = base[picked]
     for extra in range(_INFORMATIVE, num_features):
-        src = extra - _INFORMATIVE
-        X[:, extra] = np.clip(base[picked, src] + rng.normal(0.0, 0.15, size=rows), 0.0, pi)
+        jitter = rng.normal(0.0, 0.15, size=rows)
+        X[:, extra] = np.clip(base[picked, extra % _INFORMATIVE] + jitter, 0.0, pi)
     labels = np.where(margin[picked] > 0, 1, -1).astype(np.int64)
     names = tuple(f"x{i}" for i in range(num_features))
     ids = tuple(f"r{i:04d}" for i in range(rows))

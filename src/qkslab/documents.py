@@ -7,7 +7,8 @@ with a ``format`` tag and a ``version``, written as one line of compact JSON
 with sorted keys so reruns are byte-identical, and as strict JSON: writing a
 NaN or infinity is a ValueError, raised before the file is opened.
 ``read_json`` refuses the ``NaN`` and ``Infinity`` tokens, another tag or major
-version, and names the file.
+version, and names the file.  Every numeric setting a document records is
+refused by one of two rules, ``check_int`` and ``check_between``.
 """
 import csv
 import json
@@ -36,6 +37,21 @@ def check_format(doc, formats: dict[str, str], where) -> str:
     if str(doc.get("version", "")).split(".")[0] != formats[kind].split(".")[0]:
         raise ValueError(f"{where}: unsupported {kind} version {doc.get('version')}")
     return kind
+
+
+def check_int(name: str, value, least: int | None = None) -> int:
+    """``value`` if it is an int (a bool is not one, though JSON reads true as one) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def check_between(name: str, value, low, high):
+    """``value`` if it is a number (a bool is not one) with low < value < high."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value < high:
+        raise ValueError(f"{name} must be a number in ({low}, {high}), got {value!r}")
+    return value
 
 
 def _refuse_constant(token: str):

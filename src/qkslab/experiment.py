@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, fields as record_fields, replace
 
 import numpy as np
 
-from .data import DEFAULT_SPLIT_RATIO, Dataset, check_split_ratio, sample_subset, scale_split
-from .documents import check_format, fields, write_csv
-from .kernels import KernelConfig, check_positive, config_to_doc, gram_pair
+from .data import DEFAULT_SPLIT_RATIO, Dataset, sample_subset, scale_split
+from .documents import check_between, check_format, check_int, fields, write_csv
+from .kernels import KernelConfig, config_to_doc, gram_pair
 from .metrics import balanced_accuracy, confusion, f1
 from .seeding import mix64
 from .svm import DEFAULT_C, DEFAULT_TOL, predict, train
@@ -122,19 +122,13 @@ def evaluate_kernels_on_subset(train_ds: Dataset, test_ds: Dataset, kernels: dic
     return out
 
 
-def _count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:  # JSON's true is an int
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
-
-
 def _unique_grid(configs) -> tuple[ConfigPoint, ...]:
     """The grid points, at least one, each (F, N) once: a repeated one would hold two trials per index."""
     configs = tuple(ConfigPoint(c.features, c.size) if isinstance(c, ConfigPoint) else ConfigPoint(*c)
                     for c in configs)
     for c in configs:
-        _count("F", c.features)
-        _count("N", c.size)
+        check_int("F", c.features, 1)
+        check_int("N", c.size, 1)
     if not configs:
         raise ValueError("a grid needs at least one point")
     repeated = sorted({(c.features, c.size) for c in configs if configs.count(c) > 1})
@@ -168,10 +162,10 @@ def cell(ds: Dataset, point: ConfigPoint, t: int, master_seed: int, split_ratio:
 
 def _settings(master_seed, split_ratio, svm_c, svm_tol) -> dict:
     """A sweep document's settings, each refused outside the range its users accept."""
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int):
-        raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
-    return {"master_seed": master_seed, "split_ratio": check_split_ratio(split_ratio),
-            "svm": {"C": check_positive("C", svm_c), "tol": check_positive("tol", svm_tol)}}
+    return {"master_seed": check_int("master_seed", master_seed),
+            "split_ratio": check_between("split_ratio", split_ratio, 0, 1),
+            "svm": {"C": check_between("C", svm_c, 0, math.inf),
+                    "tol": check_between("tol", svm_tol, 0, math.inf)}}
 
 
 def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
@@ -180,7 +174,7 @@ def run_sweep(ds: Dataset, configs, kernels, trials: int, master_seed: int,
     """The ``qkslab-sweep`` document of every kernel at every (config, trial) on shared subsets:
     each ``cell`` runs in grid order, and the cells are listed by (F, N, kernel), each with its
     records and their per-metric mean and std."""
-    _count("trials", trials)
+    check_int("trials", trials, 1)
     configs = _unique_grid(configs)
     settings = _settings(master_seed, split_ratio, svm_c, svm_tol)
     if len({k.name for k in kernels}) != len(kernels):
@@ -288,10 +282,8 @@ def variability_study(ds: Dataset, config: ConfigPoint, kernel: KernelConfig, tr
 
     The trials, their mean and std are the one cell of a one-point, one-kernel ``run_sweep``.
     """
-    if trials < 2:
-        raise ValueError("variability needs at least two trials")
-    if bins < 1:
-        raise ValueError(f"variability needs at least one histogram bin, got {bins}")
+    check_int("trials", trials, 2)
+    check_int("bins", bins, 1)
     (sweep_cell,) = run_sweep(ds, [config], [kernel], trials, master_seed, split_ratio, svm_c,
                               svm_tol)["cells"]
     bas = [r["balanced_accuracy"] for r in sweep_cell["records"]]
@@ -324,10 +316,10 @@ def sweep_from_doc(doc: dict, where="document") -> SweepResult:
         kernel_names = tuple(k["name"] for k in doc["kernels"])
         if len(set(kernel_names)) != len(kernel_names):
             raise ValueError("kernel names must be unique")
-        configs, trials = _unique_grid(doc["configs"]), _count("trials", doc["trials"])
+        configs, trials = _unique_grid(doc["configs"]), check_int("trials", doc["trials"], 1)
         cells: dict[tuple[int, int, str], list[TrialRecord]] = {}
         for cell in doc["cells"]:
-            key = (_count("F", cell["features"]), _count("N", cell["size"]), cell["kernel"])
+            key = (check_int("F", cell["features"], 1), check_int("N", cell["size"], 1), cell["kernel"])
             held = [r["trial"] for r in cell["records"]]
             if held != list(range(trials)):
                 raise ValueError(f"cell {key} holds trials {held} for {trials} trials")

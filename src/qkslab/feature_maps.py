@@ -17,6 +17,7 @@ from math import pi
 import numpy as np
 
 from .circuits import Circuit, Gate, cx, dag_depth, h, p, rx
+from .documents import check_int
 
 PAULI_LAYERS = ("Z", "ZZ", "Y", "YY")
 DEFAULT_REPETITIONS = 2
@@ -44,10 +45,8 @@ class FeatureMapSpec:
         for layer in self.pauli_layers:
             if layer not in PAULI_LAYERS:
                 raise ValueError(f"unsupported Pauli layer {layer!r}; allowed: {PAULI_LAYERS}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.num_features < 1:
-            raise ValueError("num_features must be >= 1")
+        check_int("repetitions", self.repetitions, 1)
+        check_int("num_features", self.num_features, 1)
         if self.num_features < 2 and any(len(l) == 2 for l in self.pauli_layers):
             raise ValueError("two-qubit layers require num_features >= 2")
 

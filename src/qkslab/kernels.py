@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .documents import write_json
+from .documents import check_between, check_int, write_json
 from .feature_maps import DEFAULT_REPETITIONS, FeatureMapSpec, build_feature_map
 from .seeding import mix64
 from .simulator import check_width, sample_zero_count, simulate
@@ -34,13 +34,6 @@ from .simulator import check_width, sample_zero_count, simulate
 SHOT_CAP = 1024
 _PSD_TOL = 1e-8
 _CROSS = 0x435253  # role word "CRS" in cross-gram entry seeds
-
-
-def check_positive(name: str, value):
-    """``value`` if it is a finite number > 0 (a bool is not one): rbf gamma, SVM C and tol."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -68,9 +61,10 @@ class KernelConfig:
         if self.feature_map is None and self.shots is not None:
             raise ValueError("rbf kernel supports exact mode only")
         if self.gamma is not None:
-            check_positive("gamma", self.gamma)
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots mode requires shots >= 1")
+            check_between("gamma", self.gamma, 0, math.inf)
+        if self.shots is not None:
+            check_int("shots", self.shots, 1)
+        check_int("master_seed", self.master_seed)
         if not self.name:
             raise ValueError("kernel config needs a name")
 
@@ -79,10 +73,11 @@ def quantum_config(preset: str, num_features: int, repetitions: int = DEFAULT_RE
                    shots: int | None = None, master_seed: int = 0,
                    allow_overshoot: bool = False) -> KernelConfig:
     """A preset's kernel, in shots mode when ``shots`` is given (over ``SHOT_CAP`` with ``allow_overshoot``)."""
+    config = KernelConfig(FeatureMapSpec.from_preset(preset, num_features, repetitions), None, shots,
+                          master_seed, preset)
     if shots is not None and shots > SHOT_CAP and not allow_overshoot:
         raise ValueError(f"shots={shots} exceeds the {SHOT_CAP}-shot cap")
-    spec = FeatureMapSpec.from_preset(preset, num_features, repetitions)
-    return KernelConfig(spec, None, shots, master_seed, preset)
+    return config
 
 
 def rbf_config(gamma: float | None = None, master_seed: int = 0) -> KernelConfig:

@@ -5,7 +5,8 @@ for F features and R repetitions: the builder emits the same blocks each
 repetition, and each layer adds a fixed number of gates per qubit or per
 adjacent pair.  ``estimate`` reads a and b off the builder's own tallies at
 R = 1 for F = 2 and F = 3, so ``feature_maps._blocks`` stays the only
-description of the map; the qubit count is F regardless of R.  Depth runs the
+description of the map.  A record stores the counted columns; ``total`` is
+their gate counts' sum and ``qubits`` is F regardless of R.  Depth runs the
 builder's blocks strictly one after another (``feature_maps.sequential_depth``).
 The dependency-graph depth, which may overlap disjoint pair blocks, is
 reported as a diagnostic only.
@@ -21,7 +22,7 @@ from .circuits import GateKind, dag_depth
 from .feature_maps import PRESETS, FeatureMapSpec, build_feature_map, sequential_depth
 
 _LAYERS = PRESETS["yyy"]
-_COLUMNS = ("h", "rx", "p", "cx", "total", "depth")
+_COLUMNS = ("h", "rx", "p", "cx", "depth")  # the counted columns
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,15 @@ class ResourceEstimate:
     rx: int
     p: int
     cx: int
-    total: int
     depth: int
-    qubits: int
 
-    def __post_init__(self) -> None:
-        if self.total != self.h + self.rx + self.p + self.cx:
-            raise ValueError("total must equal the sum of per-kind counts")
-        if self.qubits != self.features:
-            raise ValueError("qubit count must equal the feature count")
+    @property
+    def total(self) -> int:
+        return self.h + self.rx + self.p + self.cx
+
+    @property
+    def qubits(self) -> int:
+        return self.features
 
 
 def estimate(features: int, repetitions: int) -> ResourceEstimate:
@@ -49,8 +50,7 @@ def estimate(features: int, repetitions: int) -> ResourceEstimate:
     two, three = measure(2, 1)[0], measure(3, 1)[0]
     per_rep = {c: getattr(two, c) + (getattr(three, c) - getattr(two, c)) * (features - 2)
                for c in _COLUMNS}
-    return ResourceEstimate(features=features, repetitions=repetitions, qubits=features,
-                            **{c: repetitions * v for c, v in per_rep.items()})
+    return ResourceEstimate(features, repetitions, **{c: repetitions * v for c, v in per_rep.items()})
 
 
 def measure(features: int, repetitions: int) -> tuple[ResourceEstimate, int]:
@@ -59,9 +59,9 @@ def measure(features: int, repetitions: int) -> tuple[ResourceEstimate, int]:
     circuit = build_feature_map(spec, np.zeros(features))  # gate counts do not depend on the data
     counts = Counter(g.kind for g in circuit.gates)
     measured = ResourceEstimate(
-        features=features, repetitions=repetitions,
+        features, repetitions,
         h=counts[GateKind.H], rx=counts[GateKind.RX], p=counts[GateKind.P], cx=counts[GateKind.CX],
-        total=len(circuit.gates), depth=sequential_depth(spec), qubits=circuit.num_qubits,
+        depth=sequential_depth(spec),
     )
     return measured, dag_depth(circuit)
 

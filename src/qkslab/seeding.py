@@ -60,7 +60,8 @@ def splitmix64_stream(seed: int, n: int) -> np.ndarray:
     """First ``n`` SplitMix64 outputs for ``seed``, as a uint64 array.
 
     Output k equals finalize64(seed + (k+1)*GOLDEN); the counter form makes
-    the stream random-access and vectorizable.
+    the stream random-access and vectorizable.  The finalizer is repeated with ``np.uint64``
+    operands: ``finalize64``'s Python ints and masks cost about 3 us per 1024-shot entry.
     """
     base = np.uint64(seed & MASK64)
     ks = np.arange(1, n + 1, dtype=np.uint64)

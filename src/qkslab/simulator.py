@@ -17,6 +17,7 @@ from math import cos, sin, sqrt
 import numpy as np
 
 from .circuits import Circuit, Gate, GateKind
+from .documents import check_int
 from .seeding import uniforms
 
 MAX_QUBITS = 16  # dense limit; well above anything the experiments need
@@ -95,6 +96,5 @@ def sample_zero_count(prob: float, shots: int, seed: int) -> int:
     states, or |amp_0|^2 of a simulated compute-uncompute circuit.  Identical
     (prob, shots, seed) always reproduce the same count.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_int("shots", shots, 1)
     return int(np.count_nonzero(uniforms(seed, shots) < prob))

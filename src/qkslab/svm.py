@@ -15,12 +15,14 @@ plain loop ``tests/oracles.reference_smo``.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramMatrix, check_positive
+from .documents import check_between
+from .kernels import GramMatrix
 from .metrics import check_labels
 
 DEFAULT_C = 1.0
@@ -61,8 +63,8 @@ def train(gram: GramMatrix, labels, C: float = DEFAULT_C, tol: float = DEFAULT_T
     check_labels(y)
     if np.all(y > 0) or np.all(y < 0):
         raise ValueError("single-class labels: both classes must be present")
-    C = float(check_positive("C", C))
-    check_positive("tol", tol)
+    C = float(check_between("C", C, 0, math.inf))
+    check_between("tol", tol, 0, math.inf)
     K = gram.values
     ys = y.tolist()
     diag = K.diagonal().tolist()

@@ -244,7 +244,7 @@ def test_sweep_with_a_repeated_grid_point_is_an_error(dataset, tmp_path, capsys,
 
 @pytest.mark.parametrize("flags, refused", [
     (["--split-ratio", "1.5"], "split_ratio must be a number in (0, 1), got 1.5"),
-    (["--c", "-1"], "C must be a finite positive number, got -1.0"),
+    (["--c", "-1"], "C must be a number in (0, inf), got -1.0"),
 ], ids=["split-ratio-above-one", "c-negative"])
 def test_sweep_settings_out_of_range_are_errors_before_any_cell(dataset, tmp_path, capsys,
                                                                   monkeypatch, flags, refused):
@@ -772,7 +772,7 @@ def test_non_finite_svm_and_kernel_settings_are_errors(dataset, tmp_path, capsys
                          "--kernels", "rbf", "--trials", "1", *flags, "--out", str(out)], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 1
-    assert err.startswith("error: ") and "must be a finite positive number" in err
+    assert err.startswith("error: ") and "must be a number in (0, inf), got " in err
     assert not out.exists()
 
 
@@ -787,7 +787,7 @@ def test_variability_without_histogram_bins_is_an_error_before_any_trial(
     code, _, err = _run(["variability", "--dataset", str(dataset), "--size", "30", "--features", "2",
                          "--trials", "3", "--bins", bins, "--out", str(out)], capsys)
     assert code == 1
-    assert err == f"error: variability needs at least one histogram bin, got {bins}\n"
+    assert err == f"error: bins must be an integer >= 1, got {bins}\n"
     assert not out.exists()
 
 

@@ -401,6 +401,13 @@ def test_quantum_separable_dataset_properties():
     np.testing.assert_array_equal(ds.y, again.y)
 
 
+def test_quantum_separable_dataset_cycles_its_informative_features():
+    narrow = quantum_separable_dataset(19, rows=40, num_features=7)
+    wide = quantum_separable_dataset(19, rows=40, num_features=18)  # extra feature k copies k mod 5
+    np.testing.assert_array_equal(wide.X[:, :7], narrow.X)
+    np.testing.assert_array_equal(wide.y, narrow.y)
+
+
 def test_dataset_file_round_trip(tmp_path):
     ds = synthetic_dataset(23, days=40)
     train, test = sample_subset(ds, 30, 4, 3)

@@ -219,8 +219,8 @@ def test_grid_counts_and_trials_are_integers_of_at_least_one(configs, trials, re
     ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
     ({"split_ratio": 1}, "split_ratio must be a number in (0, 1), got 1"),
     ({"split_ratio": "0.5"}, "split_ratio must be a number in (0, 1), got '0.5'"),
-    ({"svm_c": True}, "C must be a finite positive number, got True"),
-    ({"svm_tol": float("nan")}, "tol must be a finite positive number, got nan"),
+    ({"svm_c": True}, "C must be a number in (0, inf), got True"),
+    ({"svm_tol": float("nan")}, "tol must be a number in (0, inf), got nan"),
 ], ids=["seed-true", "seed-float", "split-one", "split-string", "c-true", "tol-nan"])
 def test_sweep_settings_are_refused_before_any_cell(monkeypatch, setting, refused):
     def no_cells(*args, **kwargs):

@@ -5,7 +5,7 @@ import pytest
 
 from qkslab import feature_maps, resources
 from qkslab.circuits import GateKind, h
-from qkslab.resources import ResourceEstimate, TABLE_HEADER, estimate, measure, verification_table
+from qkslab.resources import TABLE_HEADER, estimate, measure, verification_table
 
 
 def test_closed_forms_at_f4_r1():
@@ -37,10 +37,6 @@ def test_argument_validation():
         estimate(1, 1)
     with pytest.raises(ValueError):
         estimate(4, 0)
-    with pytest.raises(ValueError):
-        ResourceEstimate(4, 1, 4, 20, 7, 6, 36, 19, 4)  # total inconsistent
-    with pytest.raises(ValueError):
-        ResourceEstimate(4, 1, 4, 20, 7, 6, 37, 19, 5)  # qubits != features
 
 
 def test_verification_matches_at_f2_r1():

@@ -43,7 +43,7 @@ def test_two_point_analytic_solution():
                          ids=["C-nan", "C-inf", "C-zero", "tol-nan", "tol-inf", "tol-negative",
                               "C-true", "tol-string"])
 def test_settings_must_be_finite_and_positive(setting):
-    with pytest.raises(ValueError, match="must be a finite positive number"):
+    with pytest.raises(ValueError, match=r"^(C|tol) must be a number in \(0, inf\), got "):
         train(_sym_gram(np.eye(2)), [1, -1], **setting)
 
 
