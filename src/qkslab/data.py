@@ -295,14 +295,18 @@ def sample_subset(ds: Dataset, size: int, num_features: int, trial_seed: int,
     Sampling is without replacement, preserves the label ratio within one
     sample on both the subset and the split, keeps the first
     ``num_features`` feature columns, and is a pure function of
-    ``trial_seed``.  Every request it cannot draw is refused here: a bad
+    ``trial_seed``.  Every request it cannot draw is refused here: a ``size``,
+    ``num_features`` or ``trial_seed`` that is not a whole count, a bad
     ``split_ratio``, more rows or features than ``ds`` holds, and a subset
     that cannot hold two rows of each class (so ``size`` >= 4).
     """
+    check_int("size", size, 4)
+    check_int("num_features", num_features, 1)
+    check_int("trial_seed", trial_seed, 0)
     check_between("split_ratio", split_ratio, 0, 1)
     if size > len(ds):
         raise ValueError(f"subset size {size} exceeds dataset size {len(ds)}")
-    if not 1 <= num_features <= len(ds.feature_names):
+    if num_features > len(ds.feature_names):
         raise ValueError(f"{num_features} features requested, dataset has {len(ds.feature_names)}")
     rng = np.random.default_rng(trial_seed)
     pos = np.flatnonzero(ds.y == 1)
@@ -342,6 +346,7 @@ def _weekdays(start: date, count: int) -> list[date]:
 
 def synthetic_raw_series(seed: int, days: int = DEFAULT_DAYS) -> RawSeries:
     """Geometric random-walk index with a correlated gold series."""
+    check_int("seed", seed)
     check_int("days", days, 2)
     rng = np.random.default_rng(mix64(seed, 0x53594E))
     z = rng.standard_normal(days + 1)
@@ -382,10 +387,14 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7)
     Labels come from the sign of a signed sum of fidelity-kernel bumps
     around 24 random anchor points, thresholded at its median, over the first
     5 features; extra feature k is a jittered copy of feature k mod 5, so
-    ``num_features`` is at least 5.  The phase-periodic structure means
-    Euclidean-distance kernels see little usable geometry.  Rows with the
-    weakest margin are discarded to keep the classes crisp.
+    ``num_features`` is at least 5.  The classes are balanced, so an odd
+    ``rows`` (at least 2) is rounded up: ``rows=21`` gives 22 rows.  The
+    phase-periodic structure means Euclidean-distance kernels see little
+    usable geometry.  Rows with the weakest margin are discarded to keep the
+    classes crisp.
     """
+    check_int("seed", seed)
+    check_int("rows", rows, 2)
     check_int("num_features", num_features, _INFORMATIVE)
     if rows % 2:
         rows += 1

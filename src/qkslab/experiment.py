@@ -119,6 +119,7 @@ def evaluate_kernels_on_subset(train_ds: Dataset, test_ds: Dataset, kernels: dic
         model = train(train_gram, train_ds.y, C=svm_c, tol=svm_tol)
         cm = confusion(test_ds.y, predict(model, cross_gram))
         out[name] = (balanced_accuracy(cm), f1(cm))
+        del train_gram, cross_gram, model  # the next kernel's Grams are built without these
     return out
 
 

@@ -114,19 +114,29 @@ class GramMatrix:
 
 
 def _mirror_upper(values: np.ndarray) -> np.ndarray:
-    # One computation per unordered pair: the upper triangle is authoritative.
-    upper = np.triu(values)
-    return upper + np.triu(values, 1).T
+    """Copy the upper triangle of square ``values`` onto its lower one, in place: one computation
+    per unordered pair, and the bits of ``triu(v) + triu(v, 1).T``, whose + 0.0 turns -0.0 into 0.0."""
+    for i in range(1, len(values)):
+        values[i, :i] = values[:i, i]
+    values += 0.0
+    return values
 
 
 def _statevector_stack(spec: FeatureMapSpec, samples: np.ndarray) -> np.ndarray:
-    return np.stack([simulate(build_feature_map(spec, row)).amplitudes for row in samples])
+    states = np.empty((len(samples), 2**spec.num_features), dtype=np.complex128)
+    for i, row in enumerate(samples):
+        states[i] = simulate(build_feature_map(spec, row)).amplitudes
+    return states
 
 
 def _fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a b^H|^2: fidelities between the rows of two statevector stacks."""
+    """|a b^H|^2: fidelities between the rows of two statevector stacks, the overlaps' real and
+    imaginary halves squared in place and added into the one new array."""
     overlaps = a @ b.conj().T
-    return overlaps.real**2 + overlaps.imag**2
+    re, im = overlaps.real, overlaps.imag
+    re *= re
+    im *= im
+    return re + im
 
 
 def _add_columns(out: np.ndarray, a: np.ndarray, b: np.ndarray, cols) -> np.ndarray:

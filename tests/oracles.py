@@ -6,7 +6,9 @@ entry from its own circuits, and the QP oracle solves the SVM dual by
 projected gradient ascent.  Keep them simple and slow.  ``reference_smo`` is
 the plain SMO loop that ``qkslab.svm.train`` must reproduce bit for bit,
 ``rbf_squared_distances`` the difference-tensor expression whose bits the
-column-wise rbf distances must reproduce, and ``reference_ptri_scores`` the
+column-wise rbf distances must reproduce, ``reference_fidelity`` and
+``reference_mirror`` the whole-array expressions whose bits the in-place
+fidelity and mirror must reproduce, and ``reference_ptri_scores`` the
 per-cell loop whose bits the shifted-slice PTRI must reproduce.
 """
 import itertools
@@ -82,6 +84,18 @@ def rbf_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of ``a`` and ``b`` from the full (n, m, F) difference
     tensor; ``qkslab.kernels._squared_distances`` must equal it bit for bit."""
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def reference_fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a b^H|^2 from new arrays at every step; ``qkslab.kernels._fidelity`` must equal it bit for bit."""
+    o = a @ b.conj().T
+    return o.real**2 + o.imag**2
+
+
+def reference_mirror(v: np.ndarray) -> np.ndarray:
+    """The upper triangle of ``v`` mirrored onto the lower one as a sum of two ``triu`` copies;
+    ``qkslab.kernels._mirror_upper`` must equal it bit for bit (the sum turns -0.0 into 0.0)."""
+    return np.triu(v) + np.triu(v, 1).T
 
 
 def reference_ptri_scores(z: np.ndarray) -> np.ndarray:

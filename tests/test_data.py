@@ -399,6 +399,7 @@ def test_quantum_separable_dataset_properties():
     again = quantum_separable_dataset(19, rows=60, num_features=7)
     np.testing.assert_array_equal(ds.X, again.X)
     np.testing.assert_array_equal(ds.y, again.y)
+    assert len(quantum_separable_dataset(19, rows=21, num_features=5)) == 22  # balanced classes
 
 
 def test_quantum_separable_dataset_cycles_its_informative_features():

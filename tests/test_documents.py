@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qkslab.data import synthetic_dataset, synthetic_raw_series
+from qkslab.data import quantum_separable_dataset, sample_subset, synthetic_dataset, synthetic_raw_series
 from qkslab.documents import check_between, check_int
 from qkslab.experiment import ConfigPoint, run_sweep, variability_study
 from qkslab.kernels import quantum_config, rbf_config
@@ -62,8 +62,22 @@ def _sweep(kernel):
     (_sweep(lambda: quantum_config("z", 2, repetitions=2.0)), "repetitions"),
     (lambda ds: variability_study(ds, ConfigPoint(2, 30), rbf_config(), 3, 5, bins=2.5), "bins"),
     (lambda ds: synthetic_raw_series(1, days=100.5), "days"),
+    (lambda ds: synthetic_raw_series(1.5, days=50), "seed"),  # TypeError in mix64
+    (lambda ds: synthetic_raw_series(True, days=50), "seed"),
+    (lambda ds: quantum_separable_dataset(1, rows=2.5, num_features=5), "rows"),  # TypeError
+    (lambda ds: quantum_separable_dataset(1, rows=-4, num_features=5), "rows"),  # numpy's error
+    (lambda ds: quantum_separable_dataset(1, rows=0, num_features=5), "rows"),
+    (lambda ds: quantum_separable_dataset(1, rows=True, num_features=5), "rows"),
+    (lambda ds: quantum_separable_dataset(1.5, rows=20, num_features=5), "seed"),
+    (lambda ds: sample_subset(ds, 30.5, 2, 1), "size"),  # TypeError from slicing
+    (lambda ds: sample_subset(ds, True, 2, 1), "size"),  # the stratification message
+    (lambda ds: sample_subset(ds, 30, 2.0, 1), "num_features"),
+    (lambda ds: sample_subset(ds, 30, 2, 1.5), "trial_seed"),  # TypeError in SeedSequence
 ], ids=["shots-float", "shots-true", "shots-string", "repetitions-true", "kernel-seed-true",
-        "kernel-seed-float", "repetitions-numpy", "repetitions-float", "bins-float", "days-float"])
+        "kernel-seed-float", "repetitions-numpy", "repetitions-float", "bins-float", "days-float",
+        "series-seed-float", "series-seed-true", "separable-rows-float", "separable-rows-negative",
+        "separable-rows-zero", "separable-rows-true", "separable-seed-float", "subset-size-float",
+        "subset-size-true", "subset-features-float", "subset-trial-seed-float"])
 def test_a_malformed_setting_is_refused_before_any_work(monkeypatch, run, setting):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the setting was checked")

@@ -1,6 +1,8 @@
 """Tests for sweeps, reference trials, EQA, PTRI, and the variability study."""
+import gc
 import multiprocessing
 import re
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from math import sqrt
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 from qkslab.data import quantum_separable_dataset, synthetic_dataset
 from qkslab.experiment import (ConfigPoint, SweepResult, TrialRecord, cell,
-                               eqa_difference, mean_std, ptri, ptri_scores,
-                               result_table_rows, run_sweep,
-                               select_reference_trials, sweep_from_doc,
+                               eqa_difference, evaluate_kernels_on_subset, mean_std, ptri,
+                               ptri_scores, result_table_rows, run_sweep,
+                               select_reference_trials, sweep_from_doc, trial,
                                variability_study, write_table)
 from qkslab.documents import read_json, write_json
 from qkslab.feature_maps import PRESETS
@@ -148,6 +150,26 @@ def test_a_cell_computed_in_a_spawned_worker_is_the_in_process_cell():
         remote = pool.submit(cell, *args).result(timeout=120)
     assert remote == cell(*args)
     assert list(remote) == [*PRESETS, "rbf"]
+
+
+def test_a_cell_holds_one_kernels_grams_at_a_time():
+    templates = [quantum_config(preset, 3) for preset in ("z", "zz", "yyy")]
+    _, train_ds, test_ds, kernels = trial(synthetic_dataset(1), ConfigPoint(3, 400), 0, 5, 0.7, templates)
+    gram_bytes = len(train_ds) ** 2 * 8  # one train Gram, 280 x 280
+
+    def peak(chosen):
+        evaluate_kernels_on_subset(train_ds, test_ds, chosen, 1.0, 1e-3)  # first-call allocations
+        tracemalloc.start()
+        gc.disable()
+        try:
+            evaluate_kernels_on_subset(train_ds, test_ds, chosen, 1.0, 1e-3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            gc.enable()
+            tracemalloc.stop()
+
+    one = peak({"yyy": kernels["yyy"]})
+    assert peak(kernels) - one < 0.5 * gram_bytes  # 1.65 buffers while the last kernel's Grams lived on
 
 
 # --- reference trials / EQA ---

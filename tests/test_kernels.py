@@ -17,7 +17,7 @@ from qkslab.kernels import (GramMatrix, KernelConfig, config_to_doc, gram_matrix
 from qkslab.seeding import mix64
 from qkslab.simulator import simulate
 
-from oracles import kernel_entry, rbf_squared_distances
+from oracles import kernel_entry, rbf_squared_distances, reference_fidelity, reference_mirror
 
 
 def test_identical_inputs_give_unit_kernel():
@@ -250,26 +250,106 @@ def test_squared_distances_equal_the_difference_tensor_bitwise(samples):
                           np.exp(-0.3 * rbf_squared_distances(a, b)))
 
 
-def test_rbf_gram_pair_builds_no_difference_tensor_and_keeps_no_buffer():
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """``==`` down to the sign of a zero and the payload of a NaN."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fidelity_equals_its_oracle_bitwise():
+    rng = np.random.default_rng(41)
+
+    def states(rows, features):
+        z = rng.normal(size=(rows, 2**features)) + 1j * rng.normal(size=(rows, 2**features))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+    for features in range(1, 9):
+        for n, m in ((1, 1), (1, 7), (9, 1), (12, 30)):
+            a, b = states(n, features), states(m, features)
+            assert _same_bits(kernels._fidelity(a, b), reference_fidelity(a, b)), (features, n, m)
+        assert _same_bits(kernels._fidelity(a, a), reference_fidelity(a, a)), features
+
+
+def test_mirror_equals_its_oracle_bitwise_and_ignores_the_lower_triangle():
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 5, 40):
+        values = rng.normal(size=(n, n))
+        values[rng.random((n, n)) < 0.2] = -0.0
+        values[rng.random((n, n)) < 0.1] = np.nan
+        values[0, -1], values[-1, -1] = -0.0, np.nan  # in the upper triangle and on the diagonal
+        want = reference_mirror(values)
+        other_lower = values.copy()
+        other_lower[np.tril_indices(n, -1)] = rng.choice([np.inf, np.nan, -0.0, 7.0], n * (n - 1) // 2)
+        for got in (values.copy(), other_lower):
+            assert kernels._mirror_upper(got) is got  # in place
+            assert _same_bits(got, want), n
+        assert not np.signbit(want[want == 0]).any()  # x + 0.0 turned every -0.0 into 0.0
+
+
+@pytest.mark.parametrize("shots", [None, 16], ids=["exact", "shots"])
+def test_quantum_grams_equal_the_oracle_composition_bitwise(shots):
+    rng = np.random.default_rng(47)
+    train, test = rng.uniform(0, pi, size=(24, 3)), rng.uniform(0, pi, size=(9, 3))
+    cfg = quantum_config("zz", 3, shots=shots, master_seed=9)
+    train_states = kernels._statevector_stack(cfg.feature_map, train)
+    test_states = kernels._statevector_stack(cfg.feature_map, test)
+    probs, cross = reference_fidelity(train_states, train_states), reference_fidelity(test_states, train_states)
+    np.fill_diagonal(probs, 1.0)
+    if shots:
+        probs = kernels._shots_quantum_values(cfg, probs, True)
+        cross = kernels._shots_quantum_values(cfg, cross, False)
+    want = reference_mirror(probs)
+    assert _same_bits(gram_matrix(train, None, cfg, clip=False).values, want)
+    if shots:
+        eigvals, eigvecs = np.linalg.eigh(want)
+        assert eigvals.min() < -1e-8  # psd_clip rebuilds this Gram
+        want = reference_mirror((eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T)
+    train_gram, cross_gram = gram_pair(train, test, cfg)
+    assert _same_bits(train_gram.values, want)
+    assert _same_bits(cross_gram.values, cross)
+
+
+@pytest.mark.parametrize("config, rows, bound", [
+    (rbf_config(0.2), 280, 4),  # the (n, n, F) difference tensor alone took 7 buffers
+    (quantum_config("zz", 3), 280, 3.5),  # overlaps squared apart and mirrored through copies: 4.31
+    (quantum_config("zz", 3, shots=64, master_seed=5), 140, 4.75),  # the same, and psd_clip's: 6.90
+], ids=["rbf", "exact", "shots"])
+def test_gram_pair_peaks_within_its_buffers_and_keeps_none(config, rows, bound):
     rng = np.random.default_rng(21)
-    train, test = rng.normal(size=(280, 7)), rng.normal(size=(120, 7))
-    cfg = rbf_config(0.2)
-    gram_bytes = 280 * 280 * 8  # the pair's largest Gram, train x train
-    gram_pair(train, test, cfg)  # first-call allocations are not the Gram's
+    features = 7 if config.kind == "rbf" else 3
+    train, test = rng.normal(size=(rows, features)), rng.normal(size=(rows * 3 // 7, features))
+    gram_bytes = rows * rows * 8  # the pair's largest Gram, train x train
+    train_gram, _ = gram_pair(train, test, config)  # first-call allocations are not the Gram's
+    if config.mode == "shots":  # the peak covers psd_clip's rebuild
+        assert not np.array_equal(train_gram.values, gram_matrix(train, None, config, clip=False).values)
+    del train_gram
     tracemalloc.start()
     gc.disable()  # a buffer kept alive by a reference cycle stays counted
     try:
-        gram_pair(train, test, cfg)
+        gram_pair(train, test, config)
         _, peak = tracemalloc.get_traced_memory()
         before, _ = tracemalloc.get_traced_memory()
-        for _ in range(20):
-            gram_pair(train, test, cfg)
+        for _ in range(20 if config.kind == "rbf" else 2):  # a traced quantum call takes seconds
+            gram_pair(train, test, config)
         after, _ = tracemalloc.get_traced_memory()
     finally:
         gc.enable()
         tracemalloc.stop()
-    assert peak < 4 * gram_bytes  # the (n, n, F) difference tensor alone took 7 * gram_bytes
+    assert peak < bound * gram_bytes
     assert after - before < gram_bytes
+
+
+def test_statevector_stack_is_written_into_one_array():
+    spec = FeatureMapSpec(PRESETS["zz"], 8, 2)
+    samples = np.random.default_rng(23).uniform(0, pi, size=(200, 8))
+    stack_bytes = 200 * 2**8 * 16
+    kernels._statevector_stack(spec, samples)
+    tracemalloc.start()
+    try:
+        kernels._statevector_stack(spec, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * stack_bytes  # a list of states, then their stack, took 2.07 stacks
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0, True])
