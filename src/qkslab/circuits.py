@@ -4,6 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class GateKind(Enum):
     H = "H"
@@ -19,7 +21,7 @@ _PARAMETRIC = (GateKind.RX, GateKind.P)
 class Gate:
     kind: GateKind
     qubits: tuple[int, ...]
-    angle: float | None = None
+    angle: float | np.ndarray | None = None  # a batch circuit's P: one angle per row
 
     def __post_init__(self) -> None:
         if self.kind in _PARAMETRIC:
@@ -44,8 +46,8 @@ def rx(angle: float, qubit: int) -> Gate:
     return Gate(GateKind.RX, (qubit,), float(angle))
 
 
-def p(angle: float, qubit: int) -> Gate:
-    return Gate(GateKind.P, (qubit,), float(angle))
+def p(angle: float | np.ndarray, qubit: int) -> Gate:
+    return Gate(GateKind.P, (qubit,), angle if isinstance(angle, np.ndarray) else float(angle))
 
 
 def cx(control: int, target: int) -> Gate:

@@ -29,9 +29,11 @@ from math import pi
 import numpy as np
 
 from .documents import check_between, check_int, fields, read_json, write_json
-from .kernels import gram_matrix, quantum_config
+from .feature_maps import FeatureMapSpec, build_feature_map
+from .kernels import _fidelity
 from .metrics import check_labels
 from .seeding import mix64
+from .simulator import simulate
 
 
 class ParseError(ValueError):
@@ -403,7 +405,11 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7)
     base = rng.uniform(0.0, pi, size=(pool, _INFORMATIVE))
     anchor_x = rng.uniform(0.0, pi, size=(_ANCHORS, _INFORMATIVE))
     coeff = np.where(np.arange(_ANCHORS) % 2 == 0, 1.0, -1.0)
-    score = gram_matrix(base, anchor_x, quantum_config("yyy", _INFORMATIVE)).values @ coeff
+    # One batched simulation prepares every pool and anchor state.  Once ROADMAP item 1 gives
+    # kernels._statevector_stack this same call (after item 0), gram_matrix can score them again.
+    spec = FeatureMapSpec.from_preset("yyy", _INFORMATIVE)
+    states = simulate(build_feature_map(spec, np.concatenate([base, anchor_x]))).amplitudes
+    score = _fidelity(states[:pool], states[pool:]) @ coeff
     margin = score - np.median(score)
     pos_idx = np.flatnonzero(margin > 0)
     neg_idx = np.flatnonzero(margin <= 0)

@@ -62,10 +62,13 @@ class FeatureMapSpec:
 
 def _blocks(spec: FeatureMapSpec, x: np.ndarray):
     """The map's gate blocks in circuit order: per repetition the Hadamard
-    wall, each single-qubit layer whole, and each adjacent pair of a pair layer."""
+    wall, each single-qubit layer whole, and each adjacent pair of a pair layer.
+    ``x`` is one row, or an (N, F) batch whose P gates carry a column of N angles."""
     n = spec.num_features
-    single = (2.0 * x).tolist()  # phase of qubit j
-    pair = (2.0 * (pi - x[:-1]) * (pi - x[1:])).tolist()  # phase of pair (j, j + 1)
+    single = 2.0 * x  # phase of qubit j: column j
+    pair = 2.0 * (pi - x[..., :-1]) * (pi - x[..., 1:])  # phase of pair (j, j + 1): column j
+    # a row's angles are Python floats, which the per-gate simulator reads fastest
+    single, pair = (single.tolist(), pair.tolist()) if x.ndim == 1 else (single.T, pair.T)
     for _ in range(spec.repetitions):
         yield [h(q) for q in range(n)]
         for layer in spec.pauli_layers:
@@ -91,9 +94,9 @@ def sequential_depth(spec: FeatureMapSpec) -> int:
 
 
 def build_feature_map(spec: FeatureMapSpec, x: np.ndarray) -> Circuit:
-    """Build the map circuit for one feature vector."""
+    """Build the map circuit for one feature vector, or for an (N, F) batch of them."""
     x = np.asarray(x, dtype=np.float64)
     n = spec.num_features
-    if x.shape != (n,):
-        raise ValueError(f"feature vector has shape {x.shape}, expected ({n},)")
+    if x.shape[-1:] != (n,) or x.ndim > 2:
+        raise ValueError(f"feature vector has shape {x.shape}, expected ({n},) or (N, {n})")
     return Circuit(n, tuple(g for block in _blocks(spec, x) for g in block))

@@ -186,6 +186,9 @@ def _points(config: KernelConfig, rows: np.ndarray,
         cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
         if cols.shape[1] != rows.shape[1]:
             raise ValueError("row and column samples must share the feature dimension")
+    for samples in (rows, cols):
+        if samples is not None and (samples.ndim != 2 or 0 in samples.shape):
+            raise ValueError(f"a Gram needs (samples, features) of at least one each, got shape {samples.shape}")
     if config.kind == "rbf":
         return resolve_gamma(config, rows if cols is None else cols), rows, cols
     if rows.shape[1] != config.feature_map.num_features:

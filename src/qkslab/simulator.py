@@ -7,6 +7,10 @@ bit of the amplitude index).  Gate matrices:
     RX(t) = [[cos(t/2), -i sin(t/2)], [-i sin(t/2), cos(t/2)]]
     P(t) = diag(1, exp(i t))
     CX flips the target bit where the control bit is 1
+
+A batch circuit, built from N feature rows, carries N angles in each P gate.
+It runs as one (N, 2^n) array with the same gates in the same order, in
+blocks of ``_BLOCK_ROWS`` rows so that the gates' temporaries stay small.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .documents import check_int
 from .seeding import uniforms
 
 MAX_QUBITS = 16  # dense limit; well above anything the experiments need
+_BLOCK_ROWS = 32  # batch rows run through the gate list together
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
@@ -28,10 +33,10 @@ _INV_SQRT2 = 1.0 / sqrt(2.0)
 @dataclass(frozen=True, eq=False)
 class Statevector:
     num_qubits: int
-    amplitudes: np.ndarray  # complex128, length 2**num_qubits
+    amplitudes: np.ndarray  # complex128, length 2**num_qubits; (N, 2**num_qubits) for a batch
 
     def __post_init__(self) -> None:
-        if self.amplitudes.shape != (2**self.num_qubits,):
+        if self.amplitudes.shape[-1:] != (2**self.num_qubits,) or self.amplitudes.ndim > 2:
             raise ValueError("amplitude length must be 2**num_qubits")
 
 
@@ -43,7 +48,8 @@ def _apply_1q(state: np.ndarray, m00: complex, m01: complex, m10: complex, m11: 
     view[:, 1, :] = m10 * a + m11 * b
 
 
-def _apply_inplace(state: np.ndarray, gate: Gate, num_qubits: int) -> None:
+def _apply_inplace(state: np.ndarray, gate: Gate, num_qubits: int, rows: slice) -> None:
+    """Apply ``gate`` to ``state``, the (B, 2^n) block of a circuit's ``rows``."""
     kind = gate.kind
     if kind is GateKind.H:
         _apply_1q(state, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2, gate.qubits[0])
@@ -52,14 +58,17 @@ def _apply_inplace(state: np.ndarray, gate: Gate, num_qubits: int) -> None:
         s = -1j * sin(gate.angle / 2.0)
         _apply_1q(state, c, s, s, c, gate.qubits[0])
     elif kind is GateKind.P:
-        view = state.reshape(-1, 2, 1 << gate.qubits[0])
-        view[:, 1, :] *= cexp(1j * gate.angle)
+        view = state.reshape(len(state), -1, 2, 1 << gate.qubits[0])
+        if isinstance(gate.angle, np.ndarray):  # each row turns by its own angle
+            view[:, :, 1, :] *= np.exp(1j * gate.angle[rows])[:, None, None]
+        else:
+            view[:, :, 1, :] *= cexp(1j * gate.angle)
     else:  # CX
         control, target = gate.qubits
-        t = state.reshape([2] * num_qubits)
-        ac, at = num_qubits - 1 - control, num_qubits - 1 - target
-        i0: list = [slice(None)] * num_qubits
-        i1: list = [slice(None)] * num_qubits
+        t = state.reshape([-1] + [2] * num_qubits)  # axis 0 holds the rows
+        ac, at = num_qubits - control, num_qubits - target
+        i0: list = [slice(None)] * (num_qubits + 1)
+        i1: list = [slice(None)] * (num_qubits + 1)
         i0[ac], i0[at] = 1, 0
         i1[ac], i1[at] = 1, 1
         lo, hi = tuple(i0), tuple(i1)
@@ -75,17 +84,24 @@ def check_width(num_qubits: int) -> None:
 
 
 def simulate(circuit: Circuit) -> Statevector:
-    """Run the circuit on |0...0> and return the final state."""
+    """Run the circuit on |0...0> and return the final state: the (N, 2^n) stack of a
+    batch circuit's N rows (empty for N = 0), else one row of 2^n amplitudes."""
     n = circuit.num_qubits
     check_width(n)
-    state = np.zeros(2**n, dtype=np.complex128)
-    state[0] = 1.0
-    for gate in circuit.gates:
-        _apply_inplace(state, gate, n)
-    norm = float(np.sum(state.real**2 + state.imag**2))
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ArithmeticError(f"statevector norm drifted to {norm}")
-    return Statevector(n, state)
+    batch = next((len(g.angle) for g in circuit.gates if isinstance(g.angle, np.ndarray)), None)
+    state = np.zeros((1 if batch is None else batch, 2**n), dtype=np.complex128)
+    state[:, 0] = 1.0
+    norms = np.empty(len(state))
+    for lo in range(0, len(state), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        block = state[rows]
+        for gate in circuit.gates:
+            _apply_inplace(block, gate, n, rows)
+        norms[rows] = np.sum(block.real**2 + block.imag**2, axis=1)
+    drifted = ~(np.abs(norms - 1.0) <= 1e-9)  # NaN drifts
+    if drifted.any():
+        raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
+    return Statevector(n, state[0] if batch is None else state)
 
 
 def sample_zero_count(prob: float, shots: int, seed: int) -> int:

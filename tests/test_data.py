@@ -1,4 +1,5 @@
 """Tests for ingestion, labeling, scaling, subsets, and the generators."""
+import hashlib
 import re
 import warnings
 from datetime import date
@@ -407,6 +408,19 @@ def test_quantum_separable_dataset_cycles_its_informative_features():
     wide = quantum_separable_dataset(19, rows=40, num_features=18)  # extra feature k copies k mod 5
     np.testing.assert_array_equal(wide.X[:, :7], narrow.X)
     np.testing.assert_array_equal(wide.y, narrow.y)
+
+
+@pytest.mark.parametrize("seed, sha256", [
+    (1, "422d5946be27d8ce2da723d808ba7a5f9101f2cce45ee5ad861a7764e7d47e31"),
+    (2, "8bae23662ee4b6e8f19a09cb5d41d8586a984a73fb4e3e5923581415ca799bd1"),
+    (3, "1d533d2f448c62b7e7057af100d711f70dd048f48b09bf9cd56b6d5d0ae8663a"),
+])
+def test_quantum_separable_dataset_file_bytes_are_pinned(tmp_path, seed, sha256):
+    # The bench's set-up inputs, as the per-row states scored them: the bytes depend only on
+    # numpy's seeded draws and on the order of the margins, not on the host's SIMD level.
+    path = tmp_path / "separable.json"
+    write_dataset(quantum_separable_dataset(seed, rows=460, num_features=7), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_dataset_file_round_trip(tmp_path):

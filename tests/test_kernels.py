@@ -367,6 +367,24 @@ def test_a_nan_sample_trips_the_value_guards():
         gram_matrix(rows, cols, quantum_config("zz", 2, 1))
 
 
+@pytest.mark.parametrize("rows, cols", [
+    (np.zeros((0, 2)), None), (np.zeros((3, 0)), None), (np.zeros((3, 2, 2)), None),
+    (np.zeros((0, 2)), np.zeros((3, 2))), (np.zeros((3, 2)), np.zeros((0, 2))),
+])
+def test_a_gram_needs_a_2d_array_of_samples_before_any_state_is_prepared(monkeypatch, rows, cols):
+    # a 3-D array of rows would otherwise reach the builder as a batch per row
+    def no_states(*args):
+        raise AssertionError("a state was prepared")
+    monkeypatch.setattr(kernels, "_statevector_stack", no_states)
+    message = r"^a Gram needs \(samples, features\) of at least one each, got shape \((0, 2|3, 0|3, 2, 2)\)$"
+    for cfg in (rbf_config(), rbf_config(gamma=1.0), quantum_config("zz", 2, 1)):
+        with pytest.raises(ValueError, match=message):
+            gram_matrix(rows, cols, cfg)
+        if cols is not None:
+            with pytest.raises(ValueError, match=message):
+                gram_pair(cols, rows, cfg)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         quantum_config("yyy", 2, 1, shots=2000)

@@ -1,11 +1,13 @@
 """Tests for the statevector simulator against a full-matrix oracle."""
+import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
 import pytest
 
 from qkslab.circuits import Circuit, cx, h, p, rx
-from qkslab.simulator import sample_zero_count, simulate
+from qkslab.feature_maps import PRESETS, FeatureMapSpec, build_feature_map
+from qkslab.simulator import Statevector, sample_zero_count, simulate
 
 from oracles import gate_matrix, inverse, random_circuit, simulate_by_matrices
 
@@ -66,6 +68,52 @@ def test_adjoint_round_trip_on_random_circuits():
         expected = np.zeros(2**n)
         expected[0] = 1.0
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("reps", (1, 2, 3))
+def test_a_batch_agrees_with_its_rows_and_the_matrix_oracle(preset, reps):
+    # within 1e-12, not bit for bit: numpy may take another SIMD loop for a column of phases
+    rng = np.random.default_rng(31)
+    lo = 1 if all(len(layer) == 1 for layer in PRESETS[preset]) else 2
+    for f in range(lo, 9):
+        spec = FeatureMapSpec.from_preset(preset, f, reps)
+        X = rng.uniform(-2 * pi, 2 * pi, size=(17, f))
+        batch = simulate(build_feature_map(spec, X)).amplitudes
+        assert batch.shape == (17, 2**f)
+        for x, amplitudes in zip(X, batch):
+            circuit = build_feature_map(spec, x)
+            row = simulate(circuit)
+            assert isinstance(row, Statevector) and row.amplitudes.shape == (2**f,)
+            np.testing.assert_allclose(amplitudes, row.amplitudes, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(amplitudes, simulate_by_matrices(circuit), rtol=0, atol=1e-12)
+
+
+def test_a_batch_of_no_rows_is_an_empty_stack():
+    spec = FeatureMapSpec.from_preset("yyy", 3)
+    assert simulate(build_feature_map(spec, np.zeros((0, 3)))).amplitudes.shape == (0, 8)
+
+
+def test_a_nan_row_trips_the_batch_norm_check():
+    X = np.random.default_rng(3).uniform(0, pi, size=(40, 2))
+    X[35, 1] = np.nan  # in the second block of rows
+    with pytest.raises(ArithmeticError, match="^statevector norm drifted to nan$"):
+        simulate(build_feature_map(FeatureMapSpec.from_preset("zz", 2), X))
+
+
+def test_a_batch_is_simulated_within_one_stack_and_its_blocks():
+    # the separable generator's shape: a pool of 1 150 rows and 24 anchors
+    X = np.random.default_rng(29).uniform(0, pi, size=(1174, 5))
+    circuit = build_feature_map(FeatureMapSpec.from_preset("yyy", 5), X)
+    stack_bytes = 1174 * 2**5 * 16
+    simulate(circuit)
+    tracemalloc.start()
+    try:
+        simulate(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * stack_bytes  # every block's gate temporaries and phases included
 
 
 def test_qubit_limit():
