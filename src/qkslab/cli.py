@@ -1,17 +1,20 @@
 """Command-line entry point wiring the modules into file-driven runs.
 
 Every subcommand writes a ``<out>.manifest.json`` sidecar recording every
-parsed argument, the qkslab and numpy versions, input digests, and output
-digests; ``qkslab replay`` re-executes a manifest under the same versions and
-verifies the outputs are byte-identical.
+parsed argument, the qkslab and numpy versions, and the digests of the files
+its file flags name; ``qkslab replay`` re-executes a manifest under the same
+versions in a scratch directory and verifies the outputs are byte-identical.
 Outputs never embed timestamps, so reruns reproduce files exactly.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,9 @@ MANIFEST_VERSION = "1.1"
 _MANIFEST_FIELDS = {"command": str, "arguments": dict, "inputs": dict, "outputs": dict}
 
 KERNEL_CHOICES = (*PRESETS, "rbf")
+# The file flags: every file a command reads or writes is named by one of these.
+_INPUTS = ("dataset", "sweep", "index", "gold")
+_OUTPUTS = ("out", "table")
 
 
 class CliError(RuntimeError):
@@ -47,25 +53,28 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, inputs: list, outputs: list) -> None:
+def _files(args, flags) -> list:
+    """The files that ``args`` names with the given file flags."""
+    return [getattr(args, flag) for flag in flags if getattr(args, flag, None)]
+
+
+def _write_manifest(args) -> None:
     """Write ``<out>.manifest.json``: every parsed argument plus input and output digests."""
     write_json({
         "format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, "tool_version": __version__,
         "numpy": np.__version__, "command": args.command,
         "arguments": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "inputs": {p: _sha256(p) for p in _files(args, _INPUTS)},
+        "outputs": {p: _sha256(p) for p in _files(args, _OUTPUTS)},
     }, args.out + ".manifest.json")
 
 
-def _write_result(args, doc: dict, inputs: list) -> None:
+def _write_result(args, doc: dict) -> None:
     """Write a result document to ``--out``, its CSV to ``--table`` if given, then the manifest."""
     write_json(doc, args.out)
-    outputs = [args.out]
     if args.table:
         write_table(doc, args.table)
-        outputs.append(args.table)
-    _write_manifest(args, inputs, outputs)
+    _write_manifest(args)
 
 
 def _kernels(args, names) -> list:
@@ -90,11 +99,14 @@ def _kernels(args, names) -> list:
 
 
 def _check_paths(args) -> None:
-    """Refuse a command line that would write a file over one of its inputs or other outputs."""
+    """Refuse a missing input, and a file written over an input or over another output."""
+    seen = set()
+    for path in _files(args, _INPUTS):
+        if not Path(path).exists():
+            raise CliError(f"file not found: {path}")
+        seen.add(Path(path).resolve())
     out = getattr(args, "out", None)
-    inputs = (getattr(args, k, None) for k in ("dataset", "sweep", "index", "gold"))
-    seen = {Path(p).resolve() for p in inputs if p}
-    for path in filter(None, (out, getattr(args, "table", None), out and out + ".manifest.json")):
+    for path in _files(args, _OUTPUTS) + ([out + ".manifest.json"] if out else []):
         if Path(path).resolve() in seen:
             raise CliError(f"{path} names another input or output of this command")
         seen.add(Path(path).resolve())
@@ -119,19 +131,14 @@ def cmd_ingest(args) -> int:
             raise CliError("--synthetic generates the data; drop --index and --gold")
         days = DEFAULT_DAYS if args.days is None else args.days
         ds = synthetic_dataset(args.synthetic, days, columns)
-        inputs: list = []
     else:
         if not args.index or not args.gold:
             raise CliError("provide --index and --gold, or --synthetic SEED")
         if args.days is not None:
             raise CliError("--days applies to --synthetic only; CSV input keeps every joined day")
-        for path in (args.index, args.gold):
-            if not Path(path).exists():
-                raise CliError(f"file not found: {path}")
         ds = label_direction(ingest(args.index, args.gold), feature_columns=columns)
-        inputs = [args.index, args.gold]
     write_dataset(ds, args.out)
-    _write_manifest(args, inputs, [args.out])
+    _write_manifest(args)
     pos = int(np.sum(ds.y == 1))
     print(f"rows={len(ds)} positive={pos} negative={len(ds) - pos} features={len(ds.feature_names)}")
     return 0
@@ -154,7 +161,7 @@ def cmd_kernel(args) -> int:
         gram = gram_matrix(test_ds.X, train_ds.X, config,
                            row_ids=test_ds.ids, col_ids=train_ds.ids)
     write_gram(gram, args.out)
-    _write_manifest(args, [args.dataset], [args.out])
+    _write_manifest(args)
     shape = gram.values.shape
     print(f"kernel={config.name} mode={config.mode} rows={shape[0]} cols={shape[1]} "
           f"symmetric={int(gram.symmetric)}")
@@ -168,17 +175,17 @@ def cmd_sweep(args) -> int:
     configs = [ConfigPoint(f, n) for f in feature_counts for n in sizes]
     doc = run_sweep(ds, configs, _kernels(args, args.kernels.split(",")), args.trials, args.seed,
                     args.split_ratio, args.c, args.tol)
-    _write_result(args, doc, [args.dataset])
+    _write_result(args, doc)
     print(f"configs={len(configs)} kernels={len(doc['kernels'])} trials={args.trials} "
           f"records={sum(len(c['records']) for c in doc['cells'])}")
     return 0
 
 
 def cmd_ptri(args) -> int:
-    sr = sweep_from_doc(read_json(args.sweep, {SWEEP_FORMAT: RESULT_VERSION}), args.sweep)
+    sr = sweep_from_doc(read_json(args.sweep, SWEEP_FORMAT, RESULT_VERSION), args.sweep)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     doc = ptri(sr, methods, args.metric, args.selection, args.baseline)
-    _write_result(args, doc, [args.sweep])
+    _write_result(args, doc)
     for method in methods:
         print(f"{method}: max_score={max(map(max, doc['surfaces'][method]['scores'])):.6f}")
     return 0
@@ -189,7 +196,7 @@ def cmd_variability(args) -> int:
     doc = variability_study(ds, ConfigPoint(args.features, args.size),
                             _kernels(args, [args.kernel])[0], args.trials,
                             args.seed, args.split_ratio, args.c, args.tol, args.bins)
-    _write_result(args, doc, [args.dataset])
+    _write_result(args, doc)
     print(f"trials={doc['trials']} mean={doc['mean']:.6f} std={doc['std']:.6f}")
     return 0
 
@@ -204,14 +211,14 @@ def cmd_resources(args) -> int:
         print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
     if args.out:
         write_csv(args.out, TABLE_HEADER, rows)
-        _write_manifest(args, [], [args.out])
+        _write_manifest(args)
     if not all(row[-1] for row in rows):
         raise CliError("formula/circuit mismatch in resource verification")
     return 0
 
 
 def cmd_replay(args) -> int:
-    manifest = read_json(args.manifest, {MANIFEST_FORMAT: MANIFEST_VERSION})
+    manifest = read_json(args.manifest, MANIFEST_FORMAT, MANIFEST_VERSION)
     if manifest.get("tool_version") != __version__:
         raise CliError(f"{args.manifest}: written by qkslab {manifest.get('tool_version')}, "
                        f"this is qkslab {__version__}")
@@ -227,23 +234,33 @@ def cmd_replay(args) -> int:
             raise CliError(f"replay input missing: {path}")
         if _sha256(path) != digest:
             raise CliError(f"replay input changed since the original run: {path}")
-    command = manifest["command"]
-    argv = [command]
-    for key, value in manifest["arguments"].items():
-        if value is None or value is False:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if value is True:
-            argv.append(flag)
-        elif command == "replay":
-            raise CliError("manifests of replay runs cannot be replayed")
-        else:
-            argv.extend([flag, str(value)])
-    code = main(argv)
-    if code != 0:
-        return code
-    mismatched = [path for path, digest in manifest["outputs"].items()
-                  if _sha256(path) != digest]
+    command, recorded = manifest["command"], manifest["arguments"]
+    with tempfile.TemporaryDirectory() as scratch:
+        # The rerun writes its outputs in the scratch directory, never at their recorded paths.
+        reruns = {flag: str(Path(scratch, flag)) for flag in _OUTPUTS if recorded.get(flag)}
+        argv = [command]
+        for key, value in {**recorded, **reruns}.items():
+            if value is None or value is False:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif command == "replay":
+                raise CliError("manifests of replay runs cannot be replayed")
+            else:
+                argv.extend([flag, str(value)])
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                rerun = build_parser().parse_args(argv)
+        except SystemExit:  # argparse printed its usage, then "<prog>: error: <what it refused>"
+            raise ValueError(f"malformed {args.manifest}: "
+                             f"{stderr.getvalue().partition(': error: ')[2].strip()}") from None
+        _check_paths(rerun)
+        rerun.func(rerun)
+        digests = {str(recorded[flag]): _sha256(path) for flag, path in reruns.items()}
+    mismatched = [path for path in {**manifest["outputs"], **digests}
+                  if manifest["outputs"].get(path) != digests.get(path)]
     if mismatched:
         raise CliError(f"replay outputs differ from the manifest: {mismatched}")
     print(f"replayed {command}: {len(manifest['outputs'])} output file(s) byte-identical")

@@ -405,8 +405,7 @@ def quantum_separable_dataset(seed: int, rows: int = 460, num_features: int = 7)
     base = rng.uniform(0.0, pi, size=(pool, _INFORMATIVE))
     anchor_x = rng.uniform(0.0, pi, size=(_ANCHORS, _INFORMATIVE))
     coeff = np.where(np.arange(_ANCHORS) % 2 == 0, 1.0, -1.0)
-    # One batched simulation prepares every pool and anchor state.  Once ROADMAP item 1 gives
-    # kernels._statevector_stack this same call (after item 0), gram_matrix can score them again.
+    # One batched simulation prepares every pool and anchor state.
     spec = FeatureMapSpec.from_preset("yyy", _INFORMATIVE)
     states = simulate(build_feature_map(spec, np.concatenate([base, anchor_x]))).amplitudes
     score = _fidelity(states[:pool], states[pool:]) @ coeff
@@ -452,7 +451,7 @@ def write_dataset(ds: Dataset, path) -> None:
 
 def read_dataset(path) -> Dataset:
     """Read a dataset file; the ``scaling`` key of older files is ignored."""
-    doc = read_json(path, {DATASET_FORMAT: DATASET_VERSION})
+    doc = read_json(path, DATASET_FORMAT, DATASET_VERSION)
     with fields(path):
         rows = doc["rows"]
         features, labels = [r["features"] for r in rows], [r["label"] for r in rows]

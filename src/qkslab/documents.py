@@ -6,9 +6,10 @@ A dataset, Gram, sweep, PTRI, variability or manifest file is a JSON object
 with a ``format`` tag and a ``version``, written as one line of compact JSON
 with sorted keys so reruns are byte-identical, and as strict JSON: writing a
 NaN or infinity is a ValueError, raised before the file is opened.
-``read_json`` refuses the ``NaN`` and ``Infinity`` tokens, another tag or major
-version, and names the file.  Every numeric setting a document records is
-refused by one of two rules, ``check_int`` and ``check_between``.
+Each read names the one kind it reads: ``read_json`` refuses the ``NaN`` and
+``Infinity`` tokens, another tag or major version, and names the file.  Every
+numeric setting a document records is refused by one of two rules,
+``check_int`` and ``check_between``.
 """
 import csv
 import json
@@ -29,14 +30,12 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def check_format(doc, formats: dict[str, str], where) -> str:
-    """The ``format`` of ``doc``: a key of ``formats`` whose value has the doc's major version."""
-    kind = doc.get("format") if isinstance(doc, dict) else None
-    if kind not in formats:
-        raise ValueError(f"{where}: not a {' or '.join(formats)} document")
-    if str(doc.get("version", "")).split(".")[0] != formats[kind].split(".")[0]:
+def check_format(doc, kind: str, version: str, where) -> None:
+    """Refuse ``doc`` unless it is a ``kind`` document of ``version``'s major version."""
+    if not isinstance(doc, dict) or doc.get("format") != kind:
+        raise ValueError(f"{where}: not a {kind} document")
+    if str(doc.get("version", "")).split(".")[0] != version.split(".")[0]:
         raise ValueError(f"{where}: unsupported {kind} version {doc.get('version')}")
-    return kind
 
 
 def check_int(name: str, value, least: int | None = None) -> int:
@@ -58,13 +57,13 @@ def _refuse_constant(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
-def read_json(path, formats: dict[str, str]) -> dict:
+def read_json(path, kind: str, version: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=_refuse_constant)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, NaN and Infinity tokens
             raise ValueError(f"{path}: not a JSON document ({exc})") from None
-    check_format(doc, formats, path)
+    check_format(doc, kind, version, path)
     return doc
 
 

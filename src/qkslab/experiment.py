@@ -308,7 +308,7 @@ TABLE_FIELDS = tuple(name for name in RECORD_FIELDS if name != "fingerprint")  #
 
 def sweep_from_doc(doc: dict, where="document") -> SweepResult:
     """The sweep in a ``qkslab-sweep`` document; ``where`` names it in errors."""
-    check_format(doc, {SWEEP_FORMAT: RESULT_VERSION}, where)
+    check_format(doc, SWEEP_FORMAT, RESULT_VERSION, where)
     with fields(where):
         _settings(doc["master_seed"], doc["split_ratio"], doc["svm"]["C"], doc["svm"]["tol"])
         if not all(isinstance(k, dict) and isinstance(k.get("name"), str) and k["name"]

@@ -33,12 +33,12 @@ def _run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def _digest(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _snapshot(directory) -> dict:
+    return {path: path.read_bytes() for path in directory.iterdir()}
 
 
 def _gram_doc(path) -> dict:
-    return read_json(path, {"qkslab-gram": "2.0"})
+    return read_json(path, "qkslab-gram", "2.0")
 
 
 @pytest.fixture()
@@ -264,7 +264,7 @@ def test_a_cli_sweep_file_read_back_holds_what_the_bench_checks_read(dataset, tm
     out = tmp_path / "sweep.json"
     assert _run(["sweep", "--dataset", str(dataset), "--sizes", "24,30", "--features", "2,3",
                  "--kernels", "yyy,rbf", "--trials", "2", "--out", str(out)], capsys)[0] == 0
-    sr = experiment.sweep_from_doc(read_json(out, {"qkslab-sweep": "1.0"}), out)
+    sr = experiment.sweep_from_doc(read_json(out, "qkslab-sweep", "1.0"), out)
     grid = [(f, n) for f in (2, 3) for n in (24, 30)]
     assert [(c.features, c.size) for c in sr.configs] == grid
     assert (sr.kernel_names, sr.trials) == (("yyy", "rbf"), 2)
@@ -538,18 +538,33 @@ def run_inputs(tmp_path):
 
 @pytest.mark.parametrize("name", list(COMMAND_LINES))
 def test_replay_reproduces_byte_identical_outputs(run_inputs, capsys, name):
+    """Replay reruns in a scratch directory: it neither needs nor recreates the recorded outputs."""
     argv = command_line(name, run_inputs)
     code, _, err = _run(argv, capsys)
     assert code == 0, err
     manifest_path = argv[argv.index("--out") + 1] + ".manifest.json"
-    outputs = json.loads(Path(manifest_path).read_text())["outputs"]
-    before = {path: _digest(Path(path)) for path in outputs}
-    for path in outputs:
+    for path in json.loads(Path(manifest_path).read_text())["outputs"]:
         Path(path).unlink()
+    before = _snapshot(run_inputs)
     code, out, err = _run(["replay", manifest_path], capsys)
     assert code == 0, err
     assert "byte-identical" in out
-    assert {path: _digest(Path(path)) for path in outputs} == before
+    assert _snapshot(run_inputs) == before
+
+
+def test_a_failed_replay_keeps_the_record(tmp_path, capsys):
+    ds_path = tmp_path / "ds.json"
+    assert _run(["ingest", "--synthetic", "3", "--days", "60", "--out", str(ds_path)], capsys)[0] == 0
+    manifest_path = tmp_path / "ds.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"][str(ds_path)] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest))
+    before = _snapshot(tmp_path)
+    for _ in range(2):  # a rerun that wrote at the recorded paths would make the second one pass
+        code, _, err = _run(["replay", str(manifest_path)], capsys)
+        assert code == 1
+        assert err == f"error: replay outputs differ from the manifest: {[str(ds_path)]}\n"
+        assert _snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("name", list(COMMAND_LINES))
@@ -563,6 +578,26 @@ def test_manifest_records_every_parsed_argument(run_inputs, capsys, name):
     assert manifest["arguments"] == {k: parsed[k] for k in manifest["arguments"]}
     assert manifest["command"] == parsed["command"]
     assert (manifest["version"], manifest["numpy"]) == ("1.1", np.__version__)
+    named = {kind: {argv[i + 1] for i, flag in enumerate(argv) if flag in flags}
+             for kind, flags in (("inputs", ("--dataset", "--sweep", "--index", "--gold")),
+                                 ("outputs", ("--out", "--table")))}
+    assert {kind: set(manifest[kind]) for kind in named} == named
+
+
+@pytest.mark.parametrize("argv", [
+    "kernel --dataset {d}/nope.json --map z --features 2",
+    "sweep --dataset {d}/nope.json",
+    "variability --dataset {d}/nope.json",
+    "ptri --sweep {d}/nope.json",
+    "ingest --index {d}/nope.json --gold {d}/g.csv",
+], ids=["kernel", "sweep", "variability", "ptri", "ingest"])
+def test_a_missing_input_is_an_error_before_anything_is_written(tmp_path, capsys, argv):
+    write_synthetic_csvs(tmp_path / "i.csv", tmp_path / "g.csv", 5, days=60)
+    before = _snapshot(tmp_path)
+    code, _, err = _run(argv.format(d=tmp_path).split() + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err == f"error: file not found: {tmp_path}/nope.json\n"
+    assert _snapshot(tmp_path) == before
 
 
 def test_replay_detects_changed_inputs(tmp_path, capsys):
@@ -589,8 +624,10 @@ _MANIFEST = {"format": "qkslab-manifest", "version": "1.1", "tool_version": __ve
       for key in ("command", "arguments", "inputs", "outputs")),
     json.dumps({**_MANIFEST, "inputs": ["ds.json"]}),
     json.dumps({**_MANIFEST, "inputs": {"ds.json": float("nan")}}),
+    json.dumps({**_MANIFEST, "command": "ingest",
+                "arguments": {"synthetic": 3, "days": "sixty", "out": "ds.json"}}),
 ], ids=["not-json", "list", "no-command", "no-arguments", "no-inputs", "no-outputs",
-        "inputs-list", "nan-token"])
+        "inputs-list", "nan-token", "argument-does-not-parse"])
 def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, text):
     manifest_path = tmp_path / "m.manifest.json"
     manifest_path.write_text(text)
@@ -598,6 +635,10 @@ def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, text):
     assert code == 1
     assert (err.startswith(f"error: {manifest_path}: ")
             or err.startswith(f"error: malformed {manifest_path}: "))
+    if "sixty" in text:  # the refusal names the argument, as argparse words it
+        assert err == (f"error: malformed {manifest_path}: "
+                       "argument --days: invalid int value: 'sixty'\n")
+    assert sorted(tmp_path.iterdir()) == [manifest_path]
 
 
 def test_replay_rejects_a_manifest_from_another_tool_version(tmp_path, capsys):
@@ -743,14 +784,14 @@ def test_no_psd_clip_keeps_the_sampled_train_gram(dataset, tmp_path, capsys):
         "kernel-out-is-dataset", "kernel-out-is-dataset-by-another-path", "ptri-table-is-sweep"])
 def test_command_lines_whose_files_collide_are_errors(dataset, tmp_path, capsys, files):
     (tmp_path / "x").write_text("{}")
-    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    before = _snapshot(tmp_path)
     argv = files.format(ds=dataset, d=tmp_path).split()
     if argv[0] == "sweep":
         argv += ["--sizes", "20", "--features", "2", "--kernels", "rbf", "--trials", "1"]
     code, _, err = _run(argv, capsys)
     assert code == 1
     assert err.startswith("error: ") and "names another input or output" in err
-    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert _snapshot(tmp_path) == before
 
 
 def _subcommands() -> dict:

@@ -395,7 +395,7 @@ def test_sweep_doc_round_trip_and_aggregate_consistency(tmp_path):
         (2, 40, "rbf"), (2, 40, "z"), (2, 50, "rbf"), (2, 50, "z")]  # by (F, N, kernel)
     path = tmp_path / "sweep.json"
     write_json(doc, path)
-    loaded = read_json(path, {"qkslab-sweep": "1.0"})
+    loaded = read_json(path, "qkslab-sweep", "1.0")
     assert loaded == doc
     back = sweep_from_doc(loaded)
     assert back.configs == (ConfigPoint(2, 50), ConfigPoint(2, 40))

@@ -414,7 +414,7 @@ def test_gram_file_round_trip(tmp_path):
         g = gram_matrix(X, None, cfg, clip=False)
         path = tmp_path / f"{cfg.name}.gram"
         write_gram(g, path)
-        doc = read_json(path, {"qkslab-gram": "2.0"})
+        doc = read_json(path, "qkslab-gram", "2.0")
         assert np.array_equal(np.array(doc["values"]), g.values)  # value-exact
         assert tuple(doc["row_ids"]) == g.row_ids and tuple(doc["col_ids"]) == g.col_ids
         assert doc["kernel"] == config_to_doc(cfg)
