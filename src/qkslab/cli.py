@@ -36,8 +36,9 @@ MANIFEST_VERSION = "1.1"
 _MANIFEST_FIELDS = {"command": str, "arguments": dict, "inputs": dict, "outputs": dict}
 
 KERNEL_CHOICES = (*PRESETS, "rbf")
-# The file flags: every file a command reads or writes is named by one of these.
-_INPUTS = ("dataset", "sweep", "index", "gold")
+# The file flags: every file a command reads or writes is named by one of these (replay's
+# manifest is its positional argument).
+_INPUTS = ("dataset", "sweep", "index", "gold", "manifest")
 _OUTPUTS = ("out", "table")
 
 
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("ingest", help="parse/join CSVs (or generate synthetic data) into a dataset file")
-    s.add_argument("--index", help="index CSV: Date, Price, Open, High, Low, Vol., Change %")
+    s.add_argument("--index", help="index CSV: Date, Price, Open, High, Low, Vol., Change %%")
     s.add_argument("--gold", help="gold CSV: Date, Price")
     s.add_argument("--synthetic", type=int, default=None, metavar="SEED",
                    help="generate a deterministic synthetic dataset instead of reading CSVs")

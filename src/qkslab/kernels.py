@@ -8,7 +8,9 @@ and ``_gram`` computes, samples (shots mode), mirrors and labels the matrix.
 The rbf squared distances are added one feature column at a time into (n, m)
 buffers in numpy's pairwise-sum order, bitwise equal to the (n, m, F) tensor
 expression ``tests/oracles.rbf_squared_distances``; they are exactly
-symmetric, so only quantum Grams are mirrored.
+symmetric, so only quantum Grams are mirrored.  Fidelities are filled from
+blocks of 32 train states (``_fidelity``), so a quantum Gram pair holds its
+float Grams and one block's overlaps, never an (n, m) complex matrix.
 ``tests/oracles.kernel_entry`` builds and simulates the circuit itself and is
 the oracle for both modes.  Shots-mode entry seeds are mix64(master_seed, i, j)
 for train entry i <= j (mirrored) and mix64(master_seed, _CROSS, i, j) for
@@ -34,6 +36,7 @@ from .simulator import check_width, sample_zero_count, simulate
 SHOT_CAP = 1024
 _PSD_TOL = 1e-8
 _CROSS = 0x435253  # role word "CRS" in cross-gram entry seeds
+_BLOCK_COLS = 32  # rows of the second stack per fidelity product
 
 
 @dataclass(frozen=True)
@@ -130,13 +133,28 @@ def _statevector_stack(spec: FeatureMapSpec, samples: np.ndarray) -> np.ndarray:
 
 
 def _fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a b^H|^2: fidelities between the rows of two statevector stacks, the overlaps' real and
-    imaginary halves squared in place and added into the one new array."""
-    overlaps = a @ b.conj().T
-    re, im = overlaps.real, overlaps.imag
-    re *= re
-    im *= im
-    return re + im
+    """|a b^H|^2: fidelities between the rows of two statevector stacks, filled into one new (n, m)
+    array from blocks of ``_BLOCK_COLS`` rows of ``b``, so no (n, m) complex overlap matrix and no
+    conjugated copy of ``b`` is held.  Each block's overlaps are one product; their real and
+    imaginary halves are squared in place and added into the block's columns.
+
+    Two rules keep every entry's bits those of the one-call product (``tests/oracles``): block
+    edges sit at multiples of ``_BLOCK_COLS`` (an even split such as 65 = 22 + 22 + 21 moved
+    bits), and no block is one column wide (numpy sends an (n, K) @ (K, 1) product to gemv, which
+    moved bits), so a one-wide tail joins the block before it.
+    """
+    m = len(b)
+    edges = list(range(0, m, _BLOCK_COLS)) + [m]
+    if len(edges) > 2 and m - edges[-2] == 1:
+        del edges[-2]
+    out = np.empty((len(a), m))
+    for lo, hi in zip(edges, edges[1:]):
+        overlaps = a @ b[lo:hi].conj().T
+        re, im = overlaps.real, overlaps.imag
+        re *= re
+        im *= im
+        np.add(re, im, out=out[:, lo:hi])
+    return out
 
 
 def _add_columns(out: np.ndarray, a: np.ndarray, b: np.ndarray, cols) -> np.ndarray:

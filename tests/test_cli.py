@@ -585,16 +585,17 @@ def test_manifest_records_every_parsed_argument(run_inputs, capsys, name):
 
 
 @pytest.mark.parametrize("argv", [
-    "kernel --dataset {d}/nope.json --map z --features 2",
-    "sweep --dataset {d}/nope.json",
-    "variability --dataset {d}/nope.json",
-    "ptri --sweep {d}/nope.json",
-    "ingest --index {d}/nope.json --gold {d}/g.csv",
-], ids=["kernel", "sweep", "variability", "ptri", "ingest"])
+    "kernel --dataset {d}/nope.json --map z --features 2 --out {d}/out",
+    "sweep --dataset {d}/nope.json --out {d}/out",
+    "variability --dataset {d}/nope.json --out {d}/out",
+    "ptri --sweep {d}/nope.json --out {d}/out",
+    "ingest --index {d}/nope.json --gold {d}/g.csv --out {d}/out",
+    "replay {d}/nope.json",
+], ids=["kernel", "sweep", "variability", "ptri", "ingest", "replay"])
 def test_a_missing_input_is_an_error_before_anything_is_written(tmp_path, capsys, argv):
     write_synthetic_csvs(tmp_path / "i.csv", tmp_path / "g.csv", 5, days=60)
     before = _snapshot(tmp_path)
-    code, _, err = _run(argv.format(d=tmp_path).split() + ["--out", str(tmp_path / "out")], capsys)
+    code, _, err = _run(argv.format(d=tmp_path).split(), capsys)
     assert code == 1
     assert err == f"error: file not found: {tmp_path}/nope.json\n"
     assert _snapshot(tmp_path) == before
@@ -802,6 +803,14 @@ def _subcommands() -> dict:
 def test_every_command_has_a_replayed_command_line():
     covered = {line.split()[0] for line in COMMAND_LINES.values()}
     assert set(_subcommands()) - {"replay"} == covered
+
+
+@pytest.mark.parametrize("command", list(_subcommands()))
+def test_every_command_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 @pytest.mark.parametrize("flags", [["--gamma", "nan"], ["--c", "nan"], ["--c", "inf"],

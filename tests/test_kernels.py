@@ -263,10 +263,14 @@ def test_fidelity_equals_its_oracle_bitwise():
         return z / np.linalg.norm(z, axis=1, keepdims=True)
 
     for features in range(1, 9):
-        for n, m in ((1, 1), (1, 7), (9, 1), (12, 30)):
+        # Around the 32-column block edges and a one-wide tail (33, 65).  Larger shapes, or more
+        # than one BLAS thread under some OpenBLAS kernels, can move an ulp.
+        for n, m in product((1, 2, 33, 120), (1, 31, 32, 33, 64, 65, 120)):
             a, b = states(n, features), states(m, features)
             assert _same_bits(kernels._fidelity(a, b), reference_fidelity(a, b)), (features, n, m)
         assert _same_bits(kernels._fidelity(a, a), reference_fidelity(a, a)), features
+    a, b = states(280, 7), states(400, 7)
+    np.testing.assert_allclose(kernels._fidelity(a, b), reference_fidelity(a, b), rtol=0, atol=1e-15)
 
 
 def test_mirror_equals_its_oracle_bitwise_and_ignores_the_lower_triangle():
@@ -310,12 +314,13 @@ def test_quantum_grams_equal_the_oracle_composition_bitwise(shots):
 
 @pytest.mark.parametrize("config, rows, bound", [
     (rbf_config(0.2), 280, 4),  # the (n, n, F) difference tensor alone took 7 buffers
-    (quantum_config("zz", 3), 280, 3.5),  # overlaps squared apart and mirrored through copies: 4.31
-    (quantum_config("zz", 3, shots=64, master_seed=5), 140, 4.75),  # the same, and psd_clip's: 6.90
-], ids=["rbf", "exact", "shots"])
+    (quantum_config("zz", 3), 280, 2.25),  # one (n, m) complex overlap product took 3.20
+    (quantum_config("yyy", 7), 280, 3.5),  # the same, beside a conjugated 128-amplitude stack: 4.31
+    (quantum_config("zz", 3, shots=64, master_seed=5), 140, 4.75),  # psd_clip's rebuild sets 4.48
+], ids=["rbf", "exact", "exact-yyy-7", "shots"])
 def test_gram_pair_peaks_within_its_buffers_and_keeps_none(config, rows, bound):
     rng = np.random.default_rng(21)
-    features = 7 if config.kind == "rbf" else 3
+    features = 7 if config.kind == "rbf" else config.feature_map.num_features
     train, test = rng.normal(size=(rows, features)), rng.normal(size=(rows * 3 // 7, features))
     gram_bytes = rows * rows * 8  # the pair's largest Gram, train x train
     train_gram, _ = gram_pair(train, test, config)  # first-call allocations are not the Gram's
