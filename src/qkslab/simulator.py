@@ -10,7 +10,9 @@ bit of the amplitude index).  Gate matrices:
 
 A batch circuit, built from N feature rows, carries N angles in each P gate.
 It runs as one (N, 2^n) array with the same gates in the same order, in
-blocks of ``_BLOCK_ROWS`` rows so that the gates' temporaries stay small.
+blocks of ``_BLOCK_AMPLITUDES >> n`` rows, so that the gates' temporaries are
+bounded in bytes rather than in rows; a register wider than the budget runs
+one row at a time.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .documents import check_int
 from .seeding import uniforms
 
 MAX_QUBITS = 16  # dense limit; well above anything the experiments need
-_BLOCK_ROWS = 32  # batch rows run through the gate list together
+_BLOCK_AMPLITUDES = 4096  # amplitudes of the batch rows run through the gate list together
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
@@ -92,8 +94,9 @@ def simulate(circuit: Circuit) -> Statevector:
     state = np.zeros((1 if batch is None else batch, 2**n), dtype=np.complex128)
     state[:, 0] = 1.0
     norms = np.empty(len(state))
-    for lo in range(0, len(state), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
+    block_rows = max(1, _BLOCK_AMPLITUDES >> n)
+    for lo in range(0, len(state), block_rows):
+        rows = slice(lo, lo + block_rows)
         block = state[rows]
         for gate in circuit.gates:
             _apply_inplace(block, gate, n, rows)

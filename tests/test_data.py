@@ -1,14 +1,19 @@
 """Tests for ingestion, labeling, scaling, subsets, and the generators."""
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
 from datetime import date
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkslab.data import (DEFAULT_FEATURES, Dataset, ParseError, RawSeries, ingest,
+import qkslab
+from qkslab.data import (DEFAULT_FEATURES, Dataset, ParseError, RawSeries, _median, ingest,
                          label_direction, quantum_separable_dataset, read_dataset, sample_subset,
                          scale_split, synthetic_dataset, synthetic_raw_series, write_dataset)
 from qkslab.documents import write_json
@@ -421,6 +426,24 @@ def test_quantum_separable_dataset_file_bytes_are_pinned(tmp_path, seed, sha256)
     path = tmp_path / "separable.json"
     write_dataset(quantum_separable_dataset(seed, rows=460, num_features=7), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 1150, 1151])
+def test_the_median_threshold_is_numpys_median(n):
+    values = np.random.default_rng(n).standard_normal(n)
+    assert _median(values) == np.median(values)
+    ties = np.round(values, 1)
+    assert _median(ties) == np.median(ties)
+
+
+def test_a_separable_dataset_leaves_numpy_ma_unimported():
+    # np.median imports numpy.ma on its first call, about 25 ms of every fresh bench set-up
+    code = ("import sys; from qkslab.data import quantum_separable_dataset; "
+            "quantum_separable_dataset(1, rows=40); print('numpy.ma' in sys.modules)")
+    src = str(Path(qkslab.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
 
 
 def test_dataset_file_round_trip(tmp_path):

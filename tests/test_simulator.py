@@ -5,6 +5,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
+from qkslab import simulator
 from qkslab.circuits import Circuit, cx, h, p, rx
 from qkslab.feature_maps import PRESETS, FeatureMapSpec, build_feature_map
 from qkslab.simulator import Statevector, sample_zero_count, simulate
@@ -89,6 +90,20 @@ def test_a_batch_agrees_with_its_rows_and_the_matrix_oracle(preset, reps):
             np.testing.assert_allclose(amplitudes, simulate_by_matrices(circuit), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_batch_of_several_blocks_agrees_with_its_rows(preset):
+    # two full blocks of rows and a one-row tail, at every width up to 10 qubits
+    rng = np.random.default_rng(37)
+    lo = 1 if all(len(layer) == 1 for layer in PRESETS[preset]) else 2
+    for f in range(lo, 11):
+        rows = 2 * max(1, simulator._BLOCK_AMPLITUDES >> f) + 1
+        spec = FeatureMapSpec.from_preset(preset, f)
+        X = rng.uniform(-2 * pi, 2 * pi, size=(rows, f))
+        batch = simulate(build_feature_map(spec, X)).amplitudes
+        alone = np.array([simulate(build_feature_map(spec, x)).amplitudes for x in X])
+        np.testing.assert_allclose(batch, alone, rtol=0, atol=1e-12)
+
+
 def test_a_batch_of_no_rows_is_an_empty_stack():
     spec = FeatureMapSpec.from_preset("yyy", 3)
     assert simulate(build_feature_map(spec, np.zeros((0, 3)))).amplitudes.shape == (0, 8)
@@ -101,11 +116,10 @@ def test_a_nan_row_trips_the_batch_norm_check():
         simulate(build_feature_map(FeatureMapSpec.from_preset("zz", 2), X))
 
 
-def test_a_batch_is_simulated_within_one_stack_and_its_blocks():
-    # the separable generator's shape: a pool of 1 150 rows and 24 anchors
-    X = np.random.default_rng(29).uniform(0, pi, size=(1174, 5))
-    circuit = build_feature_map(FeatureMapSpec.from_preset("yyy", 5), X)
-    stack_bytes = 1174 * 2**5 * 16
+def _peak_in_stacks(preset, f, rows, seed):
+    """tracemalloc's peak over one batched ``simulate`` (after a warm-up call), in stacks."""
+    X = np.random.default_rng(seed).uniform(0, pi, size=(rows, f))
+    circuit = build_feature_map(FeatureMapSpec.from_preset(preset, f), X)
     simulate(circuit)
     tracemalloc.start()
     try:
@@ -113,7 +127,18 @@ def test_a_batch_is_simulated_within_one_stack_and_its_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * stack_bytes  # every block's gate temporaries and phases included
+    return peak / (rows * 2**f * 16)
+
+
+def test_a_batch_is_simulated_within_one_stack_and_its_blocks():
+    # the separable generator's shape: a pool of 1 150 rows and 24 anchors; the peak counts
+    # every block's gate temporaries and phases
+    assert _peak_in_stacks("yyy", 5, 1174, 29) < 1.25
+
+
+def test_a_wide_batch_is_simulated_within_one_stack_and_its_blocks():
+    # blocks of 4 096 amplitudes hold 16 rows here; blocks of 32 rows peaked at 1.325 stacks
+    assert _peak_in_stacks("zz", 8, 200, 23) < 1.25
 
 
 def test_qubit_limit():
